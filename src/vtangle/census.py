@@ -12,11 +12,10 @@ roots, so each equivalence class surfaces exactly once, in sorted order.
 A tangle scan can stall on pieces that hang off the marked crossing; the
 generator then lets the marked values open the next block, mirroring the
 rooted-code rule, so connected tangles are produced without ever placing a
-block that nothing points at.  Disconnected tangles are not enumerated.
+block that nothing points at.  A link scan that stalls has a disconnected
+prefix and is pruned.  Only connected diagrams are enumerated.
 
-A hot-loop version of the same search lives in ``_kernels`` and is used
-automatically for larger sizes; this module's generator is the readable
-reference implementation and the fallback.
+This recursive search is the only census generator.
 """
 
 from __future__ import annotations
@@ -84,13 +83,11 @@ def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
 # -- generation --------------------------------------------------------------
 
 
-def _link_leaves(n2: int, allow_stall: bool):
-    """All link sigma in rooted-normal form at root 0, lexicographically.
+def _link_leaves(n2: int):
+    """All connected link sigma in rooted-normal form at root 0, in order.
 
-    ``allow_stall`` controls what happens when no block was forced into the
-    next slot pair: prune (a stall means a disconnected prefix, the right
-    choice when only connected diagrams are wanted) or auto-place the
-    slot's own block and continue.
+    A stall (no block was forced into the next slot pair) means the prefix
+    is a sealed, disconnected piece, so the branch is pruned.
     """
     sigma = [-1] * n2
     used = [False] * n2
@@ -100,9 +97,6 @@ def _link_leaves(n2: int, allow_stall: bool):
             yield tuple(sigma)
             return
         if p > m:
-            if not allow_stall:
-                return
-            yield from rec(p, p + 1)  # auto-place block {p, p+1}
             return
         for v in range(min(m + 1, n2 - 1) + 1):
             if used[v]:
@@ -137,7 +131,8 @@ def _tangle_leaves(n2: int):
     def rec(p: int, m: int, pending: tuple[int, ...], touched: bool):
         if p == top:
             rest = [v for v in range(n2) if not used[v]]
-            assert len(rest) == len(pending)
+            if len(rest) != len(pending):
+                raise RuntimeError("leftover values do not match the pending marked slots")
             for order in itertools.permutations(rest):
                 for q, v in zip(pending, order):
                     sigma[q] = v
@@ -191,101 +186,42 @@ class CensusEntry:
         return self.diagram.to_code()
 
 
-def _kernel_entries(n: int, mode: str, no_self_energy: bool, genus_range):
-    """Run the array state machine from ``_kernels`` and wrap its rows."""
-    import numpy as np
-
-    from . import _kernels
-
-    marked = mode == "tangle"
-    n2 = 2 * (n + 1) if marked else 2 * n
-    h_min, h_max = genus_range if genus_range is not None else (0, n2)
-    cap = 1 << 14
-    while True:
-        out_sigma = np.zeros((cap, n2), dtype=np.int16)
-        out_meta = np.zeros((cap, 3), dtype=np.int16)
-        machine = _kernels._tangle_census if marked else _kernels._link_census
-        cnt = machine(n2, h_min, h_max, not no_self_energy, out_sigma, out_meta)
-        if cnt == -3:
-            cap *= 8
-            continue
-        if cnt == -2:
-            raise AssertionError("connected tangle with nontrivial stabilizer")
-        if cnt == -4:
-            raise AssertionError("generator let a disconnected diagram through")
-        break
-    rows = sorted(
-        (tuple(int(x) for x in out_sigma[i]), i) for i in range(cnt)
-    )
-    for sigma, i in rows:
-        d: LinkDiagram = TangleDiagram(n + 1, sigma) if marked else LinkDiagram(n, sigma)
-        yield CensusEntry(
-            d, int(out_meta[i, 0]), int(out_meta[i, 1]), int(out_meta[i, 2])
-        )
-
-
-def enumerate_diagrams(
-    n: int,
-    mode: str = "link",
-    connected: bool = True,
-    no_self_energy: bool = True,
-    genus_range: tuple[int, int] | None = None,
-    engine: str = "auto",
-):
-    """Stream of canonical diagrams with ``n`` crossings, one per class.
+def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = True):
+    """Stream of connected canonical diagrams with ``n`` crossings, one per class.
 
     For tangles ``n`` counts *real* crossings (the marked one is extra).
     Emission order is sorted by code.  Each entry carries genus, component
     count and the symmetry order (for tangles the stabilizer is checked to
     be trivial, so symmetry is always 1 there).
-
-    ``engine`` picks the implementation: ``"reference"`` is the recursive
-    generator below, ``"kernel"`` the array state machine from
-    ``_kernels``, and ``"auto"`` uses the kernel whenever it is compiled.
-    Both produce identical streams.
     """
     if mode not in ("link", "tangle"):
         raise ValueError(f"mode must be 'link' or 'tangle': {mode!r}")
-    marked = mode == "tangle"
-    if marked and not connected:
-        raise ValueError("tangle enumeration only covers connected diagrams")
-    n2 = 2 * (n + 1) if marked else 2 * n
     if n < 1:
         raise ValueError("need at least one crossing")
-    if engine not in ("auto", "reference", "kernel"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        from . import _kernels
-
-        engine = "kernel" if (_kernels.JIT_ENABLED and connected) else "reference"
-    if engine == "kernel":
-        if not connected:
-            raise ValueError("the kernel engine only enumerates connected diagrams")
-        yield from _kernel_entries(n, mode, no_self_energy, genus_range)
-        return
+    marked = mode == "tangle"
+    n2 = 2 * (n + 1) if marked else 2 * n
+    roots = n2 - 2 if marked else n2
 
     # Stall decisions write the marked slots out of tuple order, so the
     # tangle stream needs an explicit sort to come out lexicographic.
-    leaves = sorted(_tangle_leaves(n2)) if marked else _link_leaves(n2, not connected)
+    leaves = sorted(_tangle_leaves(n2)) if marked else _link_leaves(n2)
     for sigma in leaves:
         if marked:
             d: LinkDiagram = TangleDiagram(n + 1, sigma)
         else:
             d = LinkDiagram(n, sigma)
-        if connected:
-            assert is_connected(d), "generator let a disconnected diagram through"
+        if not is_connected(d):
+            raise RuntimeError("generator let a disconnected diagram through")
         h = genus(d)
-        if genus_range is not None and not genus_range[0] <= h <= genus_range[1]:
-            continue
         code, mult = canonical_code_stats(sigma, marked)
         if code != sigma:
             continue
-        if connected and marked:
-            assert mult == 1, "connected tangle with nontrivial stabilizer"
+        if marked and mult != 1:
+            raise RuntimeError("connected tangle with nontrivial stabilizer")
         if no_self_energy and has_self_energy(d):
             continue
-        roots = n2 - 2 if marked else n2
-        assert connected is False or roots % mult == 0
+        if roots % mult:
+            raise RuntimeError(f"symmetry order {mult} does not divide {roots} roots")
         yield CensusEntry(d, h, component_count(d), mult)
 
 
@@ -297,7 +233,6 @@ class CountTable:
     """Counts of canonical diagrams indexed by (crossings, genus)."""
 
     mode: str
-    connected: bool
     no_self_energy: bool
     counts: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -309,15 +244,10 @@ class CountTable:
         return {h: c for (m, h), c in sorted(self.counts.items()) if m == n}
 
 
-def count_table(
-    n_max: int,
-    mode: str = "link",
-    connected: bool = True,
-    no_self_energy: bool = True,
-) -> CountTable:
-    table = CountTable(mode, connected, no_self_energy)
+def count_table(n_max: int, mode: str = "link", *, no_self_energy: bool = True) -> CountTable:
+    table = CountTable(mode, no_self_energy)
     for n in range(1, n_max + 1):
-        for entry in enumerate_diagrams(n, mode, connected, no_self_energy):
+        for entry in enumerate_diagrams(n, mode, no_self_energy=no_self_energy):
             key = (n, entry.genus)
             table.counts[key] = table.counts.get(key, 0) + 1
     return table
@@ -330,7 +260,7 @@ def weighted_link_counts(n_max: int) -> dict[tuple[int, int], Fraction]:
     """
     out: dict[tuple[int, int], Fraction] = {}
     for n in range(1, n_max + 1):
-        for entry in enumerate_diagrams(n, "link", connected=True, no_self_energy=False):
+        for entry in enumerate_diagrams(n, "link", no_self_energy=False):
             key = (n, entry.genus)
             out[key] = out.get(key, Fraction(0)) + Fraction(1, entry.symmetry)
     return out

@@ -108,7 +108,8 @@ def canonical_code_stats(sigma: Perm, marked: bool = False) -> tuple[Perm, int]:
             best, hits = code, 1
         elif code == best:
             hits += 1
-    assert best is not None
+    if best is None:
+        raise ValueError(f"no admissible root for sigma of size {len(sigma)}")
     return best, hits
 
 

@@ -8,11 +8,15 @@ number of connected permutations.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vtangle
 from vtangle.census import (
     canonical_diagram,
     canonical_form,
@@ -22,7 +26,7 @@ from vtangle.census import (
     relabelling_elements,
     weighted_link_counts,
 )
-from vtangle.codes import is_canonical, rooted_code
+from vtangle.codes import canonical_code_stats, is_canonical, rooted_code
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
 
@@ -126,19 +130,46 @@ def test_entries_are_selfconsistent():
         assert e.diagram.size % e.symmetry == 0
 
 
-def test_genus_range_slices_the_full_stream():
-    full = [e for e in enumerate_diagrams(3, "tangle")]
-    sliced = [e for e in enumerate_diagrams(3, "tangle", genus_range=(1, 1))]
-    assert [e.code for e in sliced] == [e.code for e in full if e.genus == 1]
-
-
 def test_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_diagrams(2, "knot"))
     with pytest.raises(ValueError):
         list(enumerate_diagrams(0, "link"))
+    with pytest.raises(TypeError):
+        list(enumerate_diagrams(2, "link", False))
+
+
+def test_generator_invariants_raise(monkeypatch):
+    """The leaf checks are exceptions, so they also hold under ``python -O``."""
+    monkeypatch.setattr("vtangle.census.is_connected", lambda d: False)
+    with pytest.raises(RuntimeError):
+        list(enumerate_diagrams(2, "link"))
+
+
+def test_canonical_code_needs_an_admissible_root():
     with pytest.raises(ValueError):
-        list(enumerate_diagrams(2, "tangle", connected=False))
+        canonical_code_stats((1, 0), marked=True)
+
+
+NO_NUMPY_PROBE = """
+import sys
+from vtangle.census import enumerate_diagrams
+
+list(enumerate_diagrams(2, "tangle"))
+assert "numpy" not in sys.modules, "the census imported numpy"
+"""
+
+
+def test_census_never_imports_numpy():
+    src = os.path.dirname(os.path.dirname(vtangle.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- completeness ------------------------------------------------------------
@@ -188,15 +219,18 @@ def test_symmetry_orders_match_explicit_stabilizers():
 # -- frozen tables -----------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def tangle_table():
+    return count_table(max(TANGLE_ROWS), "tangle")
+
+
 @pytest.mark.parametrize("n", sorted(TANGLE_ROWS))
-def test_tangle_census_rows(n):
-    tab = count_table(n, "tangle")
-    assert tab.row(n) == TANGLE_ROWS[n]
+def test_tangle_census_rows(n, tangle_table):
+    assert tangle_table.row(n) == TANGLE_ROWS[n]
 
 
-def test_tangle_census_totals():
-    tab = count_table(4, "tangle")
-    assert [sum(tab.row(k).values()) for k in (1, 2, 3, 4)] == [2, 10, 82, 898]
+def test_tangle_census_totals(tangle_table):
+    assert [sum(tangle_table.row(k).values()) for k in (1, 2, 3, 4)] == [2, 10, 82, 898]
 
 
 def test_weighted_link_table():
@@ -208,6 +242,8 @@ def test_planar_self_energy_shortcut():
     from vtangle.diagrams import _same_cycle_pairs, has_self_energy
 
     for n in (1, 2, 3, 4):
-        for e in enumerate_diagrams(n, "link", no_self_energy=False, genus_range=(0, 0)):
+        for e in enumerate_diagrams(n, "link", no_self_energy=False):
+            if e.genus != 0:
+                continue
             quick = any(True for _ in _same_cycle_pairs(e.diagram))
             assert quick == has_self_energy(e.diagram)

@@ -7,6 +7,7 @@ few).  The surgery itself is pinned by round trips through the image site
 and by the quantities a flype can never change.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -40,13 +41,17 @@ TANGLE_CLASS_ROWS = {
 }
 
 
-def census(order, mode, h):
-    return [e.diagram for e in enumerate_diagrams(order, mode, genus_range=(h, h))]
+@functools.cache
+def census(order, mode):
+    """Codes of one census pass, grouped by genus."""
+    by_genus = {}
+    for e in enumerate_diagrams(order, mode):
+        by_genus.setdefault(e.genus, []).append(e.code)
+    return by_genus
 
 
 def class_count(order, mode, h):
-    codes = [d.to_code() for d in census(order, mode, h)]
-    return len(flype_classes(codes))
+    return len(flype_classes(census(order, mode)[h]))
 
 
 # -- sites -------------------------------------------------------------------
@@ -179,7 +184,7 @@ def test_tangle_class_counts(order):
 
 
 def test_every_member_of_a_merged_class_reaches_the_others():
-    codes = [e.code for e in enumerate_diagrams(3, "tangle", genus_range=(0, 0))]
+    codes = census(3, "tangle")[0]
     merged = [c for c in flype_classes(codes) if c.size > 1]
     assert merged
     for cls in merged:
@@ -192,7 +197,7 @@ def test_every_member_of_a_merged_class_reaches_the_others():
 
 
 def test_classes_partition_their_input():
-    codes = [e.code for e in enumerate_diagrams(3, "tangle", genus_range=(0, 0))]
+    codes = census(3, "tangle")[0]
     classes = flype_classes(codes)
     members = [m for c in classes for m in c.members]
     assert sorted(members) == sorted(codes)

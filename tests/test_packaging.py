@@ -1,0 +1,25 @@
+"""The project metadata points at files and modules that exist."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def test_readme_exists():
+    assert (ROOT / PROJECT["readme"]).is_file()
+
+
+def test_script_targets_import():
+    for name, target in PROJECT.get("scripts", {}).items():
+        module, attr = target.split(":")
+        assert hasattr(importlib.import_module(module), attr), name
+
+
+def test_numba_is_not_a_dependency():
+    assert not any(dep.startswith("numba") for dep in PROJECT["dependencies"])
