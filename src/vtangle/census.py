@@ -15,6 +15,15 @@ rooted-code rule, so connected tangles are produced without ever placing a
 block that nothing points at.  A link scan that stalls has a disconnected
 prefix and is pruned.  Only connected diagrams are enumerated.
 
+Per leaf the census does only what decides whether the leaf survives.  A
+connectivity guard runs on the bare tuple.  The canonicity test then walks
+the roots and reads each root's trace only as far as its first slot that
+differs from ``sigma``: a larger slot dismisses that root, a smaller one
+drops the leaf on the spot, and a canonical leaf comes back with the number
+of roots whose trace is ``sigma`` (its symmetry order).  Diagram objects,
+the self-energy filter, genus and component count are computed for the
+surviving canonical leaves only, and the tangle stream sorts just those.
+
 This recursive search is the only census generator.
 """
 
@@ -25,13 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .perms import Perm, conjugate
-from .codes import canonical_code, canonical_code_stats
+from .codes import canonical_code, canonical_multiplicity
 from .diagrams import (
     LinkDiagram,
     TangleDiagram,
     genus,
     component_count,
-    is_connected,
     has_self_energy,
 )
 
@@ -202,27 +210,58 @@ def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = Tru
     n2 = 2 * (n + 1) if marked else 2 * n
     roots = n2 - 2 if marked else n2
 
+    leaves = _tangle_leaves(n2) if marked else _link_leaves(n2)
+    survivors = _canonical_leaves(leaves, marked)
     # Stall decisions write the marked slots out of tuple order, so the
     # tangle stream needs an explicit sort to come out lexicographic.
-    leaves = sorted(_tangle_leaves(n2)) if marked else _link_leaves(n2)
-    for sigma in leaves:
+    if marked:
+        survivors = sorted(survivors)
+    for sigma, mult in survivors:
+        if marked and mult != 1:
+            raise RuntimeError("connected tangle with nontrivial stabilizer")
+        if roots % mult:
+            raise RuntimeError(f"symmetry order {mult} does not divide {roots} roots")
         if marked:
             d: LinkDiagram = TangleDiagram(n + 1, sigma)
         else:
             d = LinkDiagram(n, sigma)
-        if not is_connected(d):
-            raise RuntimeError("generator let a disconnected diagram through")
-        h = genus(d)
-        code, mult = canonical_code_stats(sigma, marked)
-        if code != sigma:
-            continue
-        if marked and mult != 1:
-            raise RuntimeError("connected tangle with nontrivial stabilizer")
         if no_self_energy and has_self_energy(d):
             continue
-        if roots % mult:
-            raise RuntimeError(f"symmetry order {mult} does not divide {roots} roots")
-        yield CensusEntry(d, h, component_count(d), mult)
+        yield CensusEntry(d, genus(d), component_count(d), mult)
+
+
+def _canonical_leaves(leaves, marked: bool):
+    """``(sigma, multiplicity)`` for the leaves that are their own canonical
+    code; every leaf is first checked to be connected."""
+    for sigma in leaves:
+        if not _sigma_is_connected(sigma):
+            raise RuntimeError("generator let a disconnected diagram through")
+        mult = canonical_multiplicity(sigma, marked)
+        if mult:
+            yield sigma, mult
+
+
+def _sigma_is_connected(sigma: Perm) -> bool:
+    """``is_connected`` on a bare tuple, with no diagram built.
+
+    The orbit of label 0 under ``sigma`` and ``tau`` (``tau(a) = sigma(a ^ 1)``)
+    is closed under the block pairing, so it is a union of crossings; the
+    search walks crossings, from ``v`` to those of ``sigma(2v)`` and
+    ``sigma(2v + 1)``.
+    """
+    n = len(sigma) // 2
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in (sigma[2 * v] // 2, sigma[2 * v + 1] // 2):
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == n
 
 
 # -- counting ----------------------------------------------------------------

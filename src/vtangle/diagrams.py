@@ -55,9 +55,8 @@ class LinkDiagram:
                 f"sigma acts on {len(self.sigma)} labels, expected {2 * self.n}"
             )
         rt = self.rho_tilde
-        assert all(rt[rt[i]] == i and rt[i] != i for i in range(len(rt))), (
-            "under-edge pairing is not a fixed-point-free involution"
-        )
+        if not all(rt[rt[i]] == i and rt[i] != i for i in range(len(rt))):
+            raise RuntimeError("under-edge pairing is not a fixed-point-free involution")
 
     # -- derived permutations ------------------------------------------------
 
@@ -158,9 +157,11 @@ def genus(d: LinkDiagram) -> int:
     bounds ``0 <= h <= n//2`` only apply to connected ones.
     """
     chi_part = cycle_count(d.sigma) + cycle_count(d.tau) - d.n
-    assert chi_part % 2 == 0
+    if chi_part % 2:
+        raise RuntimeError(f"odd Euler count {chi_part}")
     h = 1 - chi_part // 2
-    assert 0 <= h <= d.n // 2 or not is_connected(d)
+    if not 0 <= h <= d.n // 2 and is_connected(d):
+        raise RuntimeError(f"genus {h} out of range for a connected diagram with n={d.n}")
     return h
 
 
@@ -180,13 +181,15 @@ def strand_components(d: LinkDiagram) -> list[list[tuple[int, int]]]:
         comp = []
         e, s = e0, 1
         while True:
-            assert not seen[e], "strand revisits an edge"
+            if seen[e]:
+                raise RuntimeError("strand revisits an edge")
             seen[e] = True
             comp.append((e, s))
             e = (e ^ 1) if s == 1 else rt[e]
             s = -s
             if e == e0:
-                assert s == 1, "strand closes with reversed sense"
+                if s != 1:
+                    raise RuntimeError("strand closes with reversed sense")
                 break
         comps.append(comp)
     return comps
@@ -195,7 +198,8 @@ def strand_components(d: LinkDiagram) -> list[list[tuple[int, int]]]:
 def component_count(d: LinkDiagram) -> int:
     """Number of strands; equals half the cycle count of ``rho o rho~``."""
     c = cycle_count(compose(d.rho, d.rho_tilde))
-    assert c % 2 == 0
+    if c % 2:
+        raise RuntimeError(f"odd cycle count {c} of rho o rho~")
     return c // 2
 
 
@@ -368,7 +372,8 @@ def tangle_type(t: TangleDiagram) -> int:
             e, to_over = e ^ 1, False
         else:
             if sigma_inv[e] >= n2 - 2:  # marked crossing, under side
-                assert e == t.sigma[x], "strand left by the leg it entered"
+                if e != t.sigma[x]:
+                    raise RuntimeError("strand left by the leg it entered")
                 return 1
             e, to_over = rt[e], True
 
@@ -399,7 +404,8 @@ def close_tangle_counted(t: TangleDiagram, pattern: str) -> tuple[LinkDiagram, i
     if {t.sigma[w], t.sigma[x]} <= {w, x}:
         raise ValueError("marked crossing is disconnected from the rest")
     circles = sum(1 for c in (w, x) if partner[c] == c)
-    assert circles < 2
+    if circles > 1:
+        raise RuntimeError("both arches closed into circles")
 
     def resolve(e: int) -> int:
         # Follow arch fusions until reaching an edge whose over end survives.

@@ -195,7 +195,8 @@ def _closed_genus(s, t, sub, gamma, delta, mu, nu):
     for p in (s, t):
         closed = {x: ren.get(p[x], p[x]) for x in domain[:-1]}
         closed[nu] = ren.get(p[gamma], p[gamma])
-        assert sorted(closed.values()) == sorted(domain), "closure is not a permutation"
+        if sorted(closed.values()) != sorted(domain):
+            raise RuntimeError("closure is not a permutation")
         unvisited = set(domain)
         while unvisited:
             x0 = unvisited.pop()
@@ -205,7 +206,8 @@ def _closed_genus(s, t, sub, gamma, delta, mu, nu):
                 x = closed[x]
             faces += 1
     doubled = 2 - (faces - len(domain) // 2)
-    assert doubled % 2 == 0 and doubled >= 0, "closure genus out of range"
+    if doubled % 2 or doubled < 0:
+        raise RuntimeError("closure genus out of range")
     return doubled // 2
 
 
@@ -280,7 +282,8 @@ def _surgery(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
     sigma2, tau2 = tuple(s2), tuple(t2)
     pairing = compose(inverse(sigma2), tau2)
     if marked is not None:
-        assert pairing[d.size - 2] == d.size - 1, "marked crossing was disturbed"
+        if pairing[d.size - 2] != d.size - 1:
+            raise RuntimeError("marked crossing was disturbed")
     g = pair_normalizer(pairing)
     return type(d)(d.n, conjugate(g, sigma2)), g
 

@@ -85,7 +85,8 @@ def _crossing_frames(od: OrientedDiagram):
         b_in, b_out = (w, x) if senses[w] == 1 else (x, w)
         p, q = d.sigma[w], d.sigma[x]
         a_in, a_out = (p, q) if senses[p] == -1 else (q, p)
-        assert senses[a_in] == -1 and senses[a_out] == 1
+        if senses[a_in] != -1 or senses[a_out] != 1:
+            raise RuntimeError(f"under-strand at crossing {v} is not oriented through it")
         eps = 1 if senses[w] == senses[d.sigma[w]] else -1
         frames.append((b_in, b_out, a_in, a_out, eps))
     return frames
@@ -135,7 +136,8 @@ def jones_span(p: MultiLaurentPoly) -> int:
         return 0
     powers = [e[0] for e in p.terms]
     width = max(powers) - min(powers)
-    assert width % 4 == 0, "bracket exponents should agree mod 4"
+    if width % 4:
+        raise ValueError("bracket exponents should agree mod 4")
     return width // 4
 
 
@@ -279,14 +281,13 @@ def group_morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
     Arcs are the over-passages, one per crossing; the relation conjugates
     the incoming under arc by the over arc raised to the crossing sign.
     The count does not depend on the orientation (the relation set is
-    equivalent under reversal), which is asserted on the first component.
+    equivalent under reversal), which is checked on the first component.
     """
     count = _morphism_count(od, group)
     if od.bits:
         flipped = od.bits[:0] + (1 - od.bits[0],) + od.bits[1:]
-        assert count == _morphism_count(
-            OrientedDiagram(od.diagram, flipped), group
-        ), "morphism count changed under orientation reversal"
+        if count != _morphism_count(OrientedDiagram(od.diagram, flipped), group):
+            raise RuntimeError("morphism count changed under orientation reversal")
     return count
 
 
@@ -377,8 +378,10 @@ class _RotationDiagram:
     pair: dict
 
     def __post_init__(self):
-        assert len(self.pair) == 4 * self.crossings
-        assert all(self.pair[self.pair[s]] == s != self.pair[s] for s in self.pair)
+        if len(self.pair) != 4 * self.crossings:
+            raise RuntimeError(f"{len(self.pair)} stubs for {self.crossings} crossings")
+        if not all(self.pair[self.pair[s]] == s != self.pair[s] for s in self.pair):
+            raise RuntimeError("stub wiring is not a fixed-point-free involution")
 
 
 def _rotation_of(d: LinkDiagram) -> _RotationDiagram:

@@ -357,7 +357,8 @@ def a2_series(order: int) -> QSeries:
     a2 = QSeries.constant(1, order)
     for _ in range(order + 1):
         a2 = 1 + 3 * QSeries.gee(order) * a2 * a2
-    assert a2 == 1 + 3 * QSeries.gee(order) * a2 * a2, "fixed point did not settle"
+    if a2 != 1 + 3 * QSeries.gee(order) * a2 * a2:
+        raise RuntimeError("fixed point did not settle")
     return a2
 
 
@@ -521,7 +522,8 @@ def alpha_series(n_max: int = N_MAX - 1, h_max: int = H_MAX) -> GenusSeries:
         arg = GenusSeries.gee(n_max, h_max) * alpha.reciprocal() ** 2
         alpha = 1 + arg * compose_rows(rows, arg)
     arg = GenusSeries.gee(n_max, h_max) * alpha.reciprocal() ** 2
-    assert alpha == 1 + arg * compose_rows(rows, arg), "fixed point did not settle"
+    if alpha != 1 + arg * compose_rows(rows, arg):
+        raise RuntimeError("fixed point did not settle")
     return alpha
 
 
@@ -554,9 +556,8 @@ def g0_series(order: int = N_MAX - 1) -> QSeries:
     g0 = g
     for _ in range(order + 1):
         g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
-    assert g0 == g * (
-        2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1
-    ), "fixed point did not settle"
+    if g0 != g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1):
+        raise RuntimeError("fixed point did not settle")
     return g0
 
 

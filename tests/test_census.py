@@ -7,6 +7,7 @@ summing |group| / |stabilizer| over the classes must reproduce the raw
 number of connected permutations.
 """
 
+import functools
 import itertools
 import os
 import subprocess
@@ -18,6 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import vtangle
 from vtangle.census import (
+    _link_leaves,
+    _sigma_is_connected,
+    _tangle_leaves,
     canonical_diagram,
     canonical_form,
     canonical_form_bruteforce,
@@ -26,7 +30,12 @@ from vtangle.census import (
     relabelling_elements,
     weighted_link_counts,
 )
-from vtangle.codes import canonical_code_stats, is_canonical, rooted_code
+from vtangle.codes import (
+    canonical_code_stats,
+    canonical_multiplicity,
+    is_canonical,
+    rooted_code,
+)
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
 
@@ -109,6 +118,52 @@ def test_rooted_code_rejects_marked_roots():
         rooted_code((2, 3, 0, 1), 2, marked=True)
 
 
+def unpruned_stats(sigma, marked):
+    """Minimum over every root's full code, and how many roots attain it."""
+    codes = [rooted_code(sigma, r, marked) for r in range(len(sigma) - 2 * marked)]
+    best = min(codes)
+    return best, codes.count(best)
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("link", n) for n in range(1, 6)] + [("tangle", n) for n in range(1, 4)]
+)
+def test_early_exit_canonicity_matches_the_full_minimum(mode, n):
+    """On every census leaf, canonical or not, the early-exit test agrees
+    with the minimum over all roots, and on canonical leaves it returns
+    that minimum's multiplicity."""
+    marked = mode == "tangle"
+    leaves = _tangle_leaves(2 * n + 2) if marked else _link_leaves(2 * n)
+    canonical = 0
+    for sigma in leaves:
+        best, hits = unpruned_stats(sigma, marked)
+        assert canonical_multiplicity(sigma, marked) == (hits if best == sigma else 0)
+        canonical += best == sigma
+    assert canonical > 0
+
+
+@functools.cache
+def relabellings(size, marked):
+    return list(relabelling_elements(size, fix_marked=marked))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(mode, n) for mode in ("link", "tangle") for n in (1, 2, 3, 4)]),
+       st.data())
+def test_pruned_canonical_code_stats_on_relabelled_census_diagrams(census, case, data):
+    """A relabelled census diagram gets back its census code and symmetry;
+    for links that code is also the minimum over the whole group."""
+    mode, n = case
+    e = data.draw(st.sampled_from([e for row in census(n, mode).values() for e in row]))
+    g = data.draw(st.sampled_from(relabellings(e.diagram.size, mode == "tangle")))
+    d = type(e.diagram)(e.diagram.n, conjugate(g, e.diagram.sigma))
+    code, hits = canonical_code_stats(d.sigma, marked=mode == "tangle")
+    assert (code, hits) == (e.diagram.sigma, e.symmetry)
+    assert (code, hits) == unpruned_stats(d.sigma, mode == "tangle")
+    if mode == "link":
+        assert code == canonical_form_bruteforce(d)
+
+
 # -- generation --------------------------------------------------------------
 
 
@@ -141,9 +196,21 @@ def test_bad_arguments():
 
 def test_generator_invariants_raise(monkeypatch):
     """The leaf checks are exceptions, so they also hold under ``python -O``."""
-    monkeypatch.setattr("vtangle.census.is_connected", lambda d: False)
+    monkeypatch.setattr("vtangle.census._sigma_is_connected", lambda sigma: False)
     with pytest.raises(RuntimeError):
         list(enumerate_diagrams(2, "link"))
+
+
+def test_raw_connectivity_guard_matches_is_connected():
+    for n in (1, 2, 3):
+        for sigma in itertools.permutations(range(2 * n)):
+            assert _sigma_is_connected(sigma) == is_connected(LinkDiagram(n, sigma))
+
+
+def test_symmetric_tangle_leaf_raises(monkeypatch):
+    monkeypatch.setattr("vtangle.census.canonical_multiplicity", lambda sigma, marked: 2)
+    with pytest.raises(RuntimeError):
+        list(enumerate_diagrams(2, "tangle"))
 
 
 def test_canonical_code_needs_an_admissible_root():
@@ -219,18 +286,23 @@ def test_symmetry_orders_match_explicit_stabilizers():
 # -- frozen tables -----------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def tangle_table():
-    return count_table(max(TANGLE_ROWS), "tangle")
+def genus_row(census, n):
+    return {h: len(entries) for h, entries in census(n, "tangle").items()}
 
 
 @pytest.mark.parametrize("n", sorted(TANGLE_ROWS))
-def test_tangle_census_rows(n, tangle_table):
-    assert tangle_table.row(n) == TANGLE_ROWS[n]
+def test_tangle_census_rows(n, census):
+    assert genus_row(census, n) == TANGLE_ROWS[n]
 
 
-def test_tangle_census_totals(tangle_table):
-    assert [sum(tangle_table.row(k).values()) for k in (1, 2, 3, 4)] == [2, 10, 82, 898]
+def test_tangle_census_totals(census):
+    assert [sum(genus_row(census, k).values()) for k in (1, 2, 3, 4)] == [2, 10, 82, 898]
+
+
+def test_count_table_matches_the_census():
+    table = count_table(3, "tangle")
+    assert [table.row(n) for n in (1, 2, 3)] == [TANGLE_ROWS[n] for n in (1, 2, 3)]
+    assert table.total == 2 + 10 + 82
 
 
 def test_weighted_link_table():

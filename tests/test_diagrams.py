@@ -92,6 +92,21 @@ def test_validation_errors():
         transform(EXAMPLE, "rotate")
 
 
+def test_structural_checks_are_exceptions(monkeypatch):
+    """They hold under ``python -O`` too.  No valid input breaks them, so
+    each is provoked by corrupting what it checks."""
+    with monkeypatch.context() as m:
+        m.setattr(LinkDiagram, "rho_tilde", property(lambda d: tuple(range(d.size))))
+        with pytest.raises(RuntimeError):
+            LinkDiagram(1, (1, 0))
+    with monkeypatch.context() as m:
+        m.setattr("vtangle.diagrams.cycle_count", lambda p: 0)
+        with pytest.raises(RuntimeError, match="odd Euler count"):
+            genus(LinkDiagram(1, (1, 0)))
+        with pytest.raises(RuntimeError, match="out of range"):
+            genus(EXAMPLE)
+
+
 def test_strand_senses_alternate():
     for d in itertools.chain(small_links(), [EXAMPLE]):
         for comp in strand_components(d):

@@ -7,7 +7,6 @@ few).  The surgery itself is pinned by round trips through the image site
 and by the quantities a flype can never change.
 """
 
-import functools
 import itertools
 
 import pytest
@@ -30,6 +29,7 @@ from vtangle.diagrams import (
 )
 from vtangle.flypes import FlypeSite, apply_flype, flype_classes, flype_sites, image_site
 from vtangle.perms import conjugate
+from vtangle.series import gamma_genus, gamma_tilde
 
 # Flype classes of tangles per (crossings, genus); same provenance as the
 # census rows.  No such table exists for links.
@@ -41,17 +41,9 @@ TANGLE_CLASS_ROWS = {
 }
 
 
-@functools.cache
-def census(order, mode):
-    """Codes of one census pass, grouped by genus."""
-    by_genus = {}
-    for e in enumerate_diagrams(order, mode):
-        by_genus.setdefault(e.genus, []).append(e.code)
-    return by_genus
-
-
-def class_count(order, mode, h):
-    return len(flype_classes(census(order, mode)[h]))
+def codes(census, order, mode, h):
+    """Codes of the shared census pass at one genus."""
+    return [e.code for e in census(order, mode)[h]]
 
 
 # -- sites -------------------------------------------------------------------
@@ -178,14 +170,28 @@ def test_apply_flype_rejects_doctored_sites():
 
 
 @pytest.mark.parametrize("order", sorted(TANGLE_CLASS_ROWS))
-def test_tangle_class_counts(order):
-    got = {h: class_count(order, "tangle", h) for h in TANGLE_CLASS_ROWS[order]}
+def test_tangle_class_counts(order, census):
+    got = {
+        h: len(flype_classes(codes(census, order, "tangle", h)))
+        for h in TANGLE_CLASS_ROWS[order]
+    }
     assert got == TANGLE_CLASS_ROWS[order]
 
 
-def test_every_member_of_a_merged_class_reaches_the_others():
-    codes = census(3, "tangle")[0]
-    merged = [c for c in flype_classes(codes) if c.size > 1]
+@pytest.mark.slow
+def test_tangle_five_census_and_classes_match_the_series(census):
+    """Both routes at five crossings, genus by genus: the census against
+    Gamma_h[5] = 91 / 2940 / 7728 / 1259 and its flype classes against
+    Gamma~_h[5] = 29 / 2512 / 7626 / 1259."""
+    by_genus = census(5, "tangle")
+    assert sorted(by_genus) == [0, 1, 2, 3]
+    for h, row in by_genus.items():
+        assert len(row) == gamma_genus(h)[5]
+        assert len(flype_classes(codes(census, 5, "tangle", h))) == gamma_tilde(h)[5]
+
+
+def test_every_member_of_a_merged_class_reaches_the_others(census):
+    merged = [c for c in flype_classes(codes(census, 3, "tangle", 0)) if c.size > 1]
     assert merged
     for cls in merged:
         for code in cls.members:
@@ -196,11 +202,11 @@ def test_every_member_of_a_merged_class_reaches_the_others():
             assert images & (cls.members - {code})
 
 
-def test_classes_partition_their_input():
-    codes = census(3, "tangle")[0]
-    classes = flype_classes(codes)
+def test_classes_partition_their_input(census):
+    planar = codes(census, 3, "tangle", 0)
+    classes = flype_classes(planar)
     members = [m for c in classes for m in c.members]
-    assert sorted(members) == sorted(codes)
+    assert sorted(members) == sorted(planar)
     assert all(c.representative == min(c.members) for c in classes)
     assert [c.representative for c in classes] == sorted(c.representative for c in classes)
 
