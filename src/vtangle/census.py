@@ -5,9 +5,17 @@ The relabelling group of an ``n``-crossing diagram has order ``n! 2^n``
 is fixed pointwise, leaving ``(n-1)! 2^(n-1)``.  Rather than filtering all
 of ``S_2n``, the search assigns ``sigma`` images position by position under
 the rule that keeps the partial assignment equal to its own rooted code at
-root 0 (new blocks must appear as the lowest unused even label).  A finished
-assignment is emitted only when it equals its canonical code over all
-roots, so each equivalence class surfaces exactly once, in sorted order.
+root 0 (new blocks must appear as the lowest unused even label).
+
+The search is orderly (Read-Faradzev; McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998): canonicity is tested on every
+prefix, not on finished assignments.  Each node carries the roots whose
+partial trace still equals the prefix as far as both are defined.  After
+every assignment their traces are re-read: a root whose trace is smaller
+cuts the branch, a larger one leaves the list for the whole subtree, an
+equal one stays.  At a leaf every slot is defined, so every leaf is
+canonical, each equivalence class surfaces exactly once, and the symmetry
+order is 1 plus the number of roots still tied.
 
 A tangle scan can stall on pieces that hang off the marked crossing; the
 generator then lets the marked values open the next block, mirroring the
@@ -15,14 +23,11 @@ rooted-code rule, so connected tangles are produced without ever placing a
 block that nothing points at.  A link scan that stalls has a disconnected
 prefix and is pruned.  Only connected diagrams are enumerated.
 
-Per leaf the census does only what decides whether the leaf survives.  A
-connectivity guard runs on the bare tuple.  The canonicity test then walks
-the roots and reads each root's trace only as far as its first slot that
-differs from ``sigma``: a larger slot dismisses that root, a smaller one
-drops the leaf on the spot, and a canonical leaf comes back with the number
-of roots whose trace is ``sigma`` (its symmetry order).  Diagram objects,
-the self-energy filter, genus and component count are computed for the
-surviving canonical leaves only, and the tangle stream sorts just those.
+Per leaf the census checks connectivity on the bare tuple and the symmetry
+order, then builds the diagram, applies the self-energy filter and records
+genus and component count.  Link leaves come out in order.  Tangle
+leaves do not, so the tangle entries are sorted once they are built, which
+holds only the diagrams that pass the filter.
 
 This recursive search is the only census generator.
 """
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .perms import Perm, conjugate
-from .codes import canonical_code, canonical_multiplicity
+from .codes import canonical_code, tied_roots
 from .diagrams import (
     LinkDiagram,
     TangleDiagram,
@@ -92,17 +97,20 @@ def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
 
 
 def _link_leaves(n2: int):
-    """All connected link sigma in rooted-normal form at root 0, in order.
+    """``(sigma, symmetry)`` for the connected canonical link sigma, in order.
 
-    A stall (no block was forced into the next slot pair) means the prefix
-    is a sealed, disconnected piece, so the branch is pruned.
+    ``tied`` holds the roots whose partial trace still equals the prefix;
+    a branch is cut as soon as one of them is smaller (see
+    :func:`~vtangle.codes.tied_roots`).  A stall (no block was forced into
+    the next slot pair) means the prefix is a sealed, disconnected piece,
+    so that branch is cut too.
     """
     sigma = [-1] * n2
     used = [False] * n2
 
-    def rec(p: int, m: int):
+    def rec(p: int, m: int, tied: list[int]):
         if p == n2:
-            yield tuple(sigma)
+            yield tuple(sigma), 1 + len(tied)
             return
         if p > m:
             return
@@ -110,16 +118,18 @@ def _link_leaves(n2: int):
             if used[v]:
                 continue
             sigma[p] = v
-            used[v] = True
-            yield from rec(p + 1, m + 2 if v == m + 1 else m)
-            used[v] = False
+            still = tied_roots(sigma, tied)
+            if still is not None:
+                used[v] = True
+                yield from rec(p + 1, m + 2 if v == m + 1 else m, still)
+                used[v] = False
         sigma[p] = -1
 
-    yield from rec(0, 1)
+    yield from rec(0, 1, list(range(1, n2)))
 
 
 def _tangle_leaves(n2: int):
-    """Connected marked sigma in rooted-normal form at root 0.
+    """``(sigma, symmetry)`` for the connected canonical marked sigma.
 
     Slots below ``n2 - 2`` are filled in order with values that are either
     already-opened labels, the next fresh even label (opening a block), or
@@ -131,12 +141,16 @@ def _tangle_leaves(n2: int):
     the scanned prefix to the marked crossing, and without it the prefix is
     a sealed piece nothing later can reach.  Leftover values go to the
     remaining marked slots at the end.  Every leaf is connected.
+
+    As for links, every assignment (marked slots included) re-reads the
+    traces of the ``tied`` roots and cuts the branch at the first smaller
+    one.
     """
     top = n2 - 2
     sigma = [-1] * n2
     used = [False] * n2
 
-    def rec(p: int, m: int, pending: tuple[int, ...], touched: bool):
+    def rec(p: int, m: int, pending: tuple[int, ...], touched: bool, tied: list[int]):
         if p == top:
             rest = [v for v in range(n2) if not used[v]]
             if len(rest) != len(pending):
@@ -146,7 +160,9 @@ def _tangle_leaves(n2: int):
                     sigma[q] = v
                 if sigma[top] >= top and sigma[top + 1] >= top:
                     continue  # marked crossing sealed off from the rest
-                yield tuple(sigma)
+                still = tied_roots(sigma, tied, True)
+                if still is not None:
+                    yield tuple(sigma), 1 + len(still)
             for q in pending:
                 sigma[q] = -1
             return
@@ -155,16 +171,20 @@ def _tangle_leaves(n2: int):
                 return
             q, tail = pending[0], pending[1:]
             sigma[q] = p
-            used[p] = True
-            yield from rec(p, p + 1, tail, touched)  # opens block {p, p+1}
-            used[p] = False
+            still = tied_roots(sigma, tied, True)
+            if still is not None:
+                used[p] = True
+                yield from rec(p, p + 1, tail, touched, still)  # opens block {p, p+1}
+                used[p] = False
             old = [v for v in range(m + 1) if not used[v]]
             old += [v for v in (top, top + 1) if not used[v]]
             for v in old:
                 sigma[q] = v
-                used[v] = True
-                yield from rec(p, m, tail, touched)  # stall passes along
-                used[v] = False
+                still = tied_roots(sigma, tied, True)
+                if still is not None:
+                    used[v] = True
+                    yield from rec(p, m, tail, touched, still)  # stall passes along
+                    used[v] = False
             sigma[q] = -1
             return
         choices = [v for v in range(m + 1) if not used[v]]
@@ -173,13 +193,15 @@ def _tangle_leaves(n2: int):
         choices += [v for v in (top, top + 1) if not used[v]]
         for v in choices:
             sigma[p] = v
-            used[v] = True
-            opens = v == m + 1 and v < top
-            yield from rec(p + 1, m + 2 if opens else m, pending, touched or v >= top)
-            used[v] = False
+            still = tied_roots(sigma, tied, True)
+            if still is not None:
+                used[v] = True
+                opens = v == m + 1 and v < top
+                yield from rec(p + 1, m + 2 if opens else m, pending, touched or v >= top, still)
+                used[v] = False
         sigma[p] = -1
 
-    yield from rec(0, 1, (top, top + 1), False)
+    yield from rec(0, 1, (top, top + 1), False, list(range(1, top)))
 
 
 @dataclass(frozen=True)
@@ -207,16 +229,22 @@ def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = Tru
     if n < 1:
         raise ValueError("need at least one crossing")
     marked = mode == "tangle"
-    n2 = 2 * (n + 1) if marked else 2 * n
-    roots = n2 - 2 if marked else n2
-
-    leaves = _tangle_leaves(n2) if marked else _link_leaves(n2)
-    survivors = _canonical_leaves(leaves, marked)
+    leaves = _tangle_leaves(2 * n + 2) if marked else _link_leaves(2 * n)
+    entries = _entries(leaves, n, marked, no_self_energy)
     # Stall decisions write the marked slots out of tuple order, so the
     # tangle stream needs an explicit sort to come out lexicographic.
     if marked:
-        survivors = sorted(survivors)
-    for sigma, mult in survivors:
+        entries = sorted(entries, key=lambda e: e.diagram.sigma)
+    yield from entries
+
+
+def _entries(leaves, n: int, marked: bool, no_self_energy: bool):
+    """Census entries for the ``(sigma, symmetry)`` leaves, after the leaf
+    checks and the self-energy filter."""
+    roots = 2 * n  # every label off the marked block
+    for sigma, mult in leaves:
+        if not _sigma_is_connected(sigma):
+            raise RuntimeError("generator let a disconnected diagram through")
         if marked and mult != 1:
             raise RuntimeError("connected tangle with nontrivial stabilizer")
         if roots % mult:
@@ -228,17 +256,6 @@ def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = Tru
         if no_self_energy and has_self_energy(d):
             continue
         yield CensusEntry(d, genus(d), component_count(d), mult)
-
-
-def _canonical_leaves(leaves, marked: bool):
-    """``(sigma, multiplicity)`` for the leaves that are their own canonical
-    code; every leaf is first checked to be connected."""
-    for sigma in leaves:
-        if not _sigma_is_connected(sigma):
-            raise RuntimeError("generator let a disconnected diagram through")
-        mult = canonical_multiplicity(sigma, marked)
-        if mult:
-            yield sigma, mult
 
 
 def _sigma_is_connected(sigma: Perm) -> bool:

@@ -20,8 +20,19 @@ falls through to a tie-breaking search over the leftover labels.
 
 The scan yields the code one slot at a time.  :func:`rooted_code` takes
 all of it; the comparisons behind :func:`canonical_code_stats` and
-:func:`canonical_multiplicity` read a root's trace only up to the first
-slot where it differs from the code it is compared with.
+:func:`tied_roots` read a root's trace only up to the first slot where it
+differs from the code it is compared with.
+
+The scan also runs on a partial ``sigma`` whose unassigned slots hold -1,
+as long as the assigned slots are a prefix plus, for marked diagrams, any
+of the two marked slots.  It stops at the first label whose image it
+needs and does not have, so the slots it yields are a prefix of the trace
+of every completion.  That partial trace never runs past the assigned
+prefix: its first ``L`` slots hold ``L`` labels with assigned images, and
+marked labels only occupy the top two slots.  (In the tie-break search,
+the smallest partial candidate is a prefix of the smallest full one.)  The
+census uses this to compare the roots' partial traces with the prefix it
+is building (:func:`tied_roots`).
 """
 
 from __future__ import annotations
@@ -72,6 +83,8 @@ def _scan(sigma, g, occ, free, pending, p):
             # diagram is disconnected and we minimise over all leftovers.
             while pending and occ[p] < 0:
                 v = sigma[occ[pending.pop(0)]]
+                if v < 0:
+                    return
                 if g[v] < 0:
                     g[v] = free
                     g[v ^ 1] = free + 1
@@ -96,6 +109,8 @@ def _scan(sigma, g, occ, free, pending, p):
                 return
             continue
         v = sigma[occ[p]]
+        if v < 0:
+            return
         if g[v] < 0:
             g[v] = free
             g[v ^ 1] = free + 1
@@ -108,7 +123,7 @@ def _scan(sigma, g, occ, free, pending, p):
 
 def _compare(trace, code) -> int:
     """Sign of ``trace - code`` in lexicographic order, read only as far as
-    the first slot where they differ."""
+    the first slot where they differ; a partial trace that ends first ties."""
     for got, want in zip(trace, code):
         if got != want:
             return -1 if got < want else 1
@@ -143,23 +158,35 @@ def canonical_code_stats(sigma: Perm, marked: bool = False) -> tuple[Perm, int]:
     return best, hits
 
 
+def tied_roots(sigma, roots, marked: bool = False) -> list[int] | None:
+    """The roots in ``roots`` whose trace equals ``sigma`` as far as both are
+    defined, or None as soon as one root's trace is smaller.
+
+    ``sigma`` may be partial, as described in the module docstring.  A root
+    whose trace is larger at a defined slot is left out; it stays larger on
+    every completion.  A smaller one rules out every completion of
+    ``sigma`` as a canonical code, so the remaining roots are not scanned.
+    ``sigma`` is not validated: the census feeds it its own prefixes.
+    """
+    kept = []
+    for r in roots:
+        c = _compare(_trace(sigma, r, marked), sigma)
+        if c < 0:
+            return None
+        if c == 0:
+            kept.append(r)
+    return kept
+
+
 def canonical_multiplicity(sigma: Perm, marked: bool = False) -> int:
     """Number of roots whose trace reproduces ``sigma``, or 0 when ``sigma``
     is not its own canonical code.
 
-    The test stops at the first root whose trace is smaller than ``sigma``,
-    and each root's trace is read only up to its first slot that differs.
     For a canonical ``sigma`` the result is :func:`code_multiplicity`.
-    ``sigma`` is not validated: the census feeds it its own leaves.
+    ``sigma`` is not validated.
     """
-    hits = 0
-    for r in _roots(sigma, marked):
-        c = _compare(_trace(sigma, r, marked), sigma)
-        if c < 0:
-            return 0
-        if c == 0:
-            hits += 1
-    return hits
+    tied = tied_roots(sigma, _roots(sigma, marked), marked)
+    return 0 if tied is None else len(tied)
 
 
 def canonical_code(sigma: Perm, marked: bool = False) -> Perm:

@@ -8,8 +8,10 @@ number of connected permutations.
 """
 
 import functools
+import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,6 +33,7 @@ from vtangle.census import (
     weighted_link_counts,
 )
 from vtangle.codes import (
+    _trace,
     canonical_code_stats,
     canonical_multiplicity,
     is_canonical,
@@ -38,6 +41,7 @@ from vtangle.codes import (
 )
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
+from vtangle.series import gamma_genus
 
 # Counts per (crossings, genus) lifted from the acceptance tables; the
 # census must reproduce them exactly.
@@ -125,21 +129,78 @@ def unpruned_stats(sigma, marked):
     return best, codes.count(best)
 
 
+def root_normal_perms(mode, n):
+    """Permutations of ``S_2n`` that equal their own root-0 code, canonical
+    or not; found without the census generator.  Exhaustive up to size 8,
+    beyond that the root-0 codes of a seeded sample."""
+    marked = mode == "tangle"
+    size = 2 * n + 2 * marked
+    if size <= 8:
+        perms = itertools.permutations(range(size))
+    else:
+        rng = random.Random(size)
+        perms = (rooted_code(tuple(rng.sample(range(size), size)), 0, marked) for _ in range(2000))
+    return {sigma for sigma in perms if rooted_code(sigma, 0, marked) == sigma}
+
+
 @pytest.mark.parametrize(
     "mode,n", [("link", n) for n in range(1, 6)] + [("tangle", n) for n in range(1, 4)]
 )
 def test_early_exit_canonicity_matches_the_full_minimum(mode, n):
-    """On every census leaf, canonical or not, the early-exit test agrees
-    with the minimum over all roots, and on canonical leaves it returns
-    that minimum's multiplicity."""
+    """On root-0-normal permutations, canonical or not, the early-exit test
+    agrees with the minimum over all roots, and on canonical ones it
+    returns that minimum's multiplicity."""
     marked = mode == "tangle"
-    leaves = _tangle_leaves(2 * n + 2) if marked else _link_leaves(2 * n)
+    inputs = root_normal_perms(mode, n)
     canonical = 0
-    for sigma in leaves:
+    for sigma in inputs:
         best, hits = unpruned_stats(sigma, marked)
         assert canonical_multiplicity(sigma, marked) == (hits if best == sigma else 0)
         canonical += best == sigma
     assert canonical > 0
+    # Both permutations of a one-crossing link are canonical.
+    assert canonical < len(inputs) or (mode, n) == ("link", 1)
+
+
+def check_partial_traces(sigma, partial, marked):
+    """Each root's partial trace stays within the assigned prefix of
+    ``partial`` and is a prefix of the root's full code on ``sigma``."""
+    for r in range(len(sigma) - 2 * marked):
+        trace = tuple(_trace(partial, r, marked))
+        assert all(v >= 0 for v in partial[: len(trace)])
+        assert trace == rooted_code(sigma, r, marked)[: len(trace)]
+
+
+def partials(sigma, k, marked):
+    """``sigma`` with every slot from ``k`` on unassigned; marked ones also
+    with either marked slot kept, as the tangle stall branches leave it."""
+    size = len(sigma)
+    for keep in itertools.product((False, True), repeat=2 if marked else 0):
+        partial = list(sigma[:k]) + [-1] * (size - k)
+        for q, kept in zip((size - 2, size - 1), keep):
+            if kept:
+                partial[q] = sigma[q]
+        yield partial
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(mode, size) for mode in ("link", "tangle") for size in (4, 6, 8, 10)]),
+       st.data())
+def test_partial_trace_is_a_prefix_of_the_full_code(case, data):
+    mode, size = case
+    marked = mode == "tangle"
+    sigma = tuple(data.draw(st.permutations(range(size))))
+    for partial in partials(sigma, data.draw(st.integers(0, size)), marked):
+        check_partial_traces(sigma, partial, marked)
+
+
+@pytest.mark.parametrize("mode,size", [("link", 4), ("link", 6), ("tangle", 4), ("tangle", 6)])
+def test_partial_trace_is_a_prefix_of_the_full_code_exhaustively(mode, size):
+    marked = mode == "tangle"
+    for sigma in itertools.permutations(range(size)):
+        for k in range(size + 1):
+            for partial in partials(sigma, k, marked):
+                check_partial_traces(sigma, partial, marked)
 
 
 @functools.cache
@@ -165,6 +226,81 @@ def test_pruned_canonical_code_stats_on_relabelled_census_diagrams(census, case,
 
 
 # -- generation --------------------------------------------------------------
+
+
+def bruteforce_canonical_leaves(mode, n):
+    """``(sigma, symmetry)`` for every connected permutation of ``S_2n`` that
+    is its own canonical code."""
+    marked = mode == "tangle"
+    make = (lambda s: TangleDiagram(n + 1, s)) if marked else (lambda s: LinkDiagram(n, s))
+    out = set()
+    for sigma in itertools.permutations(range(2 * n + 2 * marked)):
+        if is_connected(make(sigma)):
+            code, hits = canonical_code_stats(sigma, marked)
+            if code == sigma:
+                out.add((sigma, hits))
+    return out
+
+
+def leaves(mode, n):
+    return _tangle_leaves(2 * n + 2) if mode == "tangle" else _link_leaves(2 * n)
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("link", n) for n in range(1, 5)] + [("tangle", n) for n in range(1, 4)]
+)
+def test_pruned_generator_yields_exactly_the_canonical_leaves(mode, n):
+    got = list(leaves(mode, n))
+    assert len(got) == len(set(got))
+    assert set(got) == bruteforce_canonical_leaves(mode, n)
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("link", n) for n in range(1, 6)] + [("tangle", n) for n in range(1, 5)]
+)
+def test_tied_roots_give_the_symmetry_order(mode, n):
+    for sigma, mult in leaves(mode, n):
+        assert mult == canonical_multiplicity(sigma, mode == "tangle")
+
+
+# sha256 of repr((code, genus, components, symmetry)) over the stream of
+# enumerate_diagrams(n, mode, no_self_energy=...), taken from the census
+# that tested every finished leaf for canonicity.
+STREAM_DIGESTS = {
+    ("link", 1, True): "8265d38858cc38d055d1ba22d80b642e6d02769cd795c9d4619f0493d0d998b0",
+    ("link", 1, False): "8265d38858cc38d055d1ba22d80b642e6d02769cd795c9d4619f0493d0d998b0",
+    ("link", 2, True): "f2599ebbf14d7222551c24b4b4092911e7d5c7861fcf7184679ac41a3da76efe",
+    ("link", 2, False): "faaa8b6ea2d3d33494ca7a9f8cfd166879ff3d71f7e09c907f48ba3f6902b0f8",
+    ("link", 3, True): "9ffd4972f77ef79e97b8665cc177921bb416d65c8f82547465f2e97210c2705d",
+    ("link", 3, False): "c26b9b8fe709641216beea7c73a364ec29a1ac57bc82f1a830efe6eacc40197d",
+    ("link", 4, True): "a7006c66c00aef100ed95781dc073cb7b527d3a4a23daeb7fa0dc82dc773b3f8",
+    ("link", 4, False): "df633d8aea4366ea000ae5e68527484042a3893d4c2a9ad040b65420e72cab4d",
+    ("link", 5, True): "6e7afc57a39022f3fb1045cf5ebaa5985bdfab584907c03ba69f033c6332243d",
+    ("link", 5, False): "b4150b2a290dbfc121db3a932a3a058c498ef44f02ac6c9360d5fb1a60be07b0",
+    ("tangle", 1, True): "e88cc7fb48fb50323959ebcffa721b1c5013687bf1360135fb263944fd57dafc",
+    ("tangle", 1, False): "dffb6191351126bee2d6b7be3ad4f09a40cb6c493eb6ba2924e31576dd5645c1",
+    ("tangle", 2, True): "46d1b7a653def97fbd03d55ce0fea9d7d714c07e9b51256d0d842dd53efb812e",
+    ("tangle", 2, False): "32f489ff4ba6db5dcf95b8f9524f1a49ba77137e904f597300126f116bc5592b",
+    ("tangle", 3, True): "56e5afdec9280e63c023e4a68361e69368159b5c1a42316c77875f56b9703315",
+    ("tangle", 3, False): "bf87b18699d9bc198bb0f0aa0690ce557bc8a446d08272941e47cfe968aa5e82",
+    ("tangle", 4, True): "469a3be096eac3675858163880fc967332d97c38c3a783c78720e804a04e0163",
+    ("tangle", 4, False): "a84eb996ccc889910b640640a0ae6eeaeb62d2bba37d32510a897f7ee2661a9f",
+}
+
+
+@pytest.mark.parametrize("mode,n,no_self_energy", sorted(STREAM_DIGESTS))
+def test_census_stream_digest(census, mode, n, no_self_energy):
+    if no_self_energy:
+        # The stream is sorted by sigma, so the genus-grouped fixture
+        # gives it back in order.
+        entries = sorted((e for row in census(n, mode).values() for e in row),
+                         key=lambda e: e.diagram.sigma)
+    else:
+        entries = enumerate_diagrams(n, mode, no_self_energy=False)
+    h = hashlib.sha256()
+    for e in entries:
+        h.update(repr((e.code, e.genus, e.components, e.symmetry)).encode())
+    assert h.hexdigest() == STREAM_DIGESTS[mode, n, no_self_energy]
 
 
 def test_stream_is_sorted_and_duplicate_free():
@@ -208,7 +344,8 @@ def test_raw_connectivity_guard_matches_is_connected():
 
 
 def test_symmetric_tangle_leaf_raises(monkeypatch):
-    monkeypatch.setattr("vtangle.census.canonical_multiplicity", lambda sigma, marked: 2)
+    leaves = lambda n2: ((sigma, 2) for sigma, _ in _tangle_leaves(n2))
+    monkeypatch.setattr("vtangle.census._tangle_leaves", leaves)
     with pytest.raises(RuntimeError):
         list(enumerate_diagrams(2, "tangle"))
 
@@ -297,6 +434,16 @@ def test_tangle_census_rows(n, census):
 
 def test_tangle_census_totals(census):
     assert [sum(genus_row(census, k).values()) for k in (1, 2, 3, 4)] == [2, 10, 82, 898]
+
+
+@pytest.mark.slow
+def test_tangle_six_census_matches_the_series(census):
+    """The census at six crossings, genus by genus, against
+    Gamma_h[6] = 408 / 20384 / 104762 / 62072."""
+    by_genus = census(6, "tangle")
+    assert sorted(by_genus) == [0, 1, 2, 3]
+    for h, row in by_genus.items():
+        assert len(row) == gamma_genus(h)[6]
 
 
 def test_count_table_matches_the_census():
