@@ -1,174 +1,116 @@
-"""Leading genus-h coefficients from symmetric-group characters.
+"""Free energies of the complex quartic model from symmetric-group characters.
 
-A diagram of genus h needs at least 2h crossings, and the coefficient at
-that threshold (and the next one) reduces to counting pairs of
-permutations in prescribed conjugacy classes.  The class-delta functions
-expand over irreducible characters, and on a full cycle only hook-shaped
-tableaux contribute, collapsing everything to a single sum over the arm
-length s.  This module carries the resulting closed forms together with
-raw permutation-scan oracles that recompute the same numbers from the
-definition, feasible for small h.
+A link diagram with n crossings is a permutation sigma of 2n labels, and
+its faces are the cycles of sigma and of sigma*rho, rho being the fixed
+pairing (2k, 2k+1).  The partition function is therefore
+
+    Z = sum_n (g / 2N)^n / n! * P_n(N),
+    P_n(N) = sum_{sigma in S_2n} N^(c(sigma) + c(sigma rho)),
+
+with c the cycle count, and log Z = sum_h N^(2-2h) F_h(g) sorts the
+connected diagrams by genus.  By the Frobenius formula
+
+    P_n(N) = sum_{lambda |- 2n} chi^lambda(2^n) H_lambda s_lambda(1^N)^2,
+
+where H_lambda is the product of the hook lengths and
+s_lambda(1^N) = prod_boxes (N + content) / H_lambda.  The character on
+the class of n disjoint transpositions comes from Murnaghan-Nakayama
+domino removal on beta-sets.
+
+No polynomial in N is ever formed.  The logarithm C_n(N) of the
+exponential generating function of P_n(N) counts connected permutations
+by face number, so each of its coefficients lies in [0, (2n)!).  Evaluated
+at N = 2^B with 2^B > (2 order)!, the integer C_n(2^B) holds the
+coefficient of N^(n+2-2h), namely n! 2^n F_h[n], as its base-2^B digit
+number n+2-2h.  One pass gives every genus at once, at any order.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 
-def double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+def partitions(m: int, top: int | None = None):
+    """Partitions of m as weakly decreasing tuples, parts at most ``top``."""
+    if top is None:
+        top = m
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, top), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first, *rest)
 
 
-def f_min(h: int) -> Fraction:
-    """Weighted count of genus-h diagrams with the minimal 2h crossings."""
-    if h < 1:
-        raise ValueError("the threshold formula needs h >= 1")
-    return Fraction(double_factorial(4 * h - 1), 4 * h * (2 * h + 1))
+def _dominoes(shape: tuple[int, ...]):
+    """(sign, shape less the domino) for each domino on the rim of shape.
 
-
-def f_next(h: int) -> Fraction:
-    """The g^(2h+1) coefficient of the genus-h free energy."""
-    if h < 1:
-        raise ValueError("the subleading formula needs h >= 1")
-    total = Fraction(0)
-    for s in range(2 * h + 1):
-        term = Fraction(
-            (-1) ** ((s + 1) // 2) * comb(2 * h, s // 2), comb(4 * h + 1, s)
-        )
-        term *= sum(Fraction(1, p) for p in range(s + 1, 4 * h + 2 - s))
-        total += term
-    return Fraction(double_factorial(4 * h + 1), (2 * h + 1) ** 2) * total
-
-
-# -- hook characters ---------------------------------------------------------
-
-
-def hook_dimension(n2: int, s: int) -> int:
-    """Dimension of the hook with arm s in the symmetric group on n2 letters."""
-    if not 0 <= s <= n2 - 1:
-        raise ValueError(f"arm length {s} out of range for {n2} boxes")
-    return factorial(n2 - 1) // (factorial(s) * factorial(n2 - s - 1))
-
-
-def hook_character(n2: int, s: int, cls) -> int:
-    """Character of the arm-s hook on a class given as a cycle-type tuple.
-
-    Supported classes: the full cycle (n2,), the fixed-point-free
-    involution type (2,)*k, and two-cycle types (p, n2-p); these are the
-    only ones the coefficient formulas need.
+    On the beta-set a rim domino is a bead moving from b to a free b-2;
+    it is vertical, with Murnaghan-Nakayama sign -1, when the bead jumps
+    over an occupied b-1.
     """
-    if not 0 <= s <= n2 - 1:
-        raise ValueError(f"arm length {s} out of range for {n2} boxes")
-    cls = tuple(sorted(cls, reverse=True))
-    if sum(cls) != n2:
-        raise ValueError(f"class {cls} is not a partition of {n2}")
-    if cls == (n2,):
-        return (-1) ** s
-    if cls == (2,) * (n2 // 2):
-        return (-1) ** ((s + 1) // 2) * comb(n2 // 2 - 1, s // 2)
-    if len(cls) == 2:
-        p = cls[1]
-        if s + 1 <= p <= n2 - s - 1:
-            return (-1) ** s
-        if n2 - s <= p <= s:
-            return (-1) ** (s + 1)
-        return 0
-    raise ValueError(f"unsupported class {cls}")
+    k = len(shape)
+    beads = {part + k - 1 - i for i, part in enumerate(shape)}
+    for b in beads:
+        if b >= 2 and b - 2 not in beads:
+            moved = sorted(beads - {b} | {b - 2}, reverse=True)
+            rest = tuple(x - (k - 1 - i) for i, x in enumerate(moved))
+            yield (-1 if b - 1 in beads else 1), tuple(part for part in rest if part)
 
 
-def class_size(n2: int, cls) -> int:
-    """Number of permutations of the given cycle type."""
-    cls = tuple(sorted(cls, reverse=True))
-    if sum(cls) != n2:
-        raise ValueError(f"class {cls} is not a partition of {n2}")
-    counts: dict[int, int] = {}
-    for j in cls:
-        counts[j] = counts.get(j, 0) + 1
-    denom = 1
-    for j, a in counts.items():
-        denom *= factorial(a) * j**a
-    return factorial(n2) // denom
+def domino_characters(n_max: int):
+    """For n = 0..n_max, the nonzero chi^shape(2^n) over shapes of 2n.
 
-
-# -- brute-force oracles -----------------------------------------------------
-
-
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out.append(length)
-    return tuple(sorted(out, reverse=True))
-
-
-def _full_cycles(n2: int):
-    """All permutations of 0..n2-1 consisting of one n2-cycle."""
-    for rest in itertools.permutations(range(1, n2)):
-        perm = [0] * n2
-        prev = 0
-        for x in rest:
-            perm[prev] = x
-            prev = x
-        perm[prev] = 0
-        yield tuple(perm)
-
-
-def brute_force_leading(h: int) -> Fraction:
-    """Recompute f_min(h) by scanning permutation pairs directly.
-
-    Both permutations run over full cycles; the product sigma^-1 tau must
-    be a fixed-point-free involution.  Feasible for h <= 2 (the h = 2
-    scan touches about 25 million pairs).
+    2^n is the class of n disjoint transpositions.  Each level follows
+    from the one before by Murnaghan-Nakayama domino removal, and only
+    the previous level is kept.
     """
-    if h < 1 or h > 2:
-        raise ValueError("the scan is only feasible for h in {1, 2}")
-    n = 2 * h
-    n2 = 2 * n
-    target = (2,) * n
-    hits = 0
-    for sigma in _full_cycles(n2):
-        inv = [0] * n2
-        for i, x in enumerate(sigma):
-            inv[x] = i
-        for tau in _full_cycles(n2):
-            if _cycle_type(tuple(tau[inv[i]] for i in range(n2))) == target:
-                hits += 1
-    return Fraction(hits, double_factorial(n2 - 1) * 2**n * factorial(n))
+    level = {(): 1}
+    yield level
+    for n in range(1, n_max + 1):
+        below = level
+        level = {}
+        for shape in partitions(2 * n):
+            chi = sum(sign * below.get(rest, 0) for sign, rest in _dominoes(shape))
+            if chi:
+                level[shape] = chi
+        yield level
 
 
-def brute_force_next(h: int) -> Fraction:
-    """Recompute f_next(h) from the definition; feasible for h = 1 only.
+def pairing_sum(characters: dict[tuple[int, ...], int], big_n: int) -> int:
+    """P_n(N) = sum over S_2n of N^(c(sigma) + c(sigma rho)), at N = big_n,
+    from the level of ``domino_characters`` for this n."""
+    total = 0
+    for shape, chi in characters.items():
+        width = max(shape, default=0)
+        column = [sum(1 for part in shape if part > j) for j in range(width)]
+        hooks = contents = 1
+        for i, part in enumerate(shape):
+            for j in range(part):
+                hooks *= part - j + column[j] - i - 1
+                contents *= big_n + j - i
+        total += chi * contents * contents // hooks
+    return total
 
-    Three faces mean one of the two face permutations is a full cycle and
-    the other splits in two, giving the overall factor 2.
-    """
-    if h != 1:
-        raise ValueError("the scan is only feasible for h = 1")
-    n = 2 * h + 1
-    n2 = 2 * n
-    target = (2,) * n
-    hits = 0
-    for sigma in _full_cycles(n2):
-        inv = [0] * n2
-        for i, x in enumerate(sigma):
-            inv[x] = i
-        for tau in itertools.permutations(range(n2)):
-            if len(_cycle_type(tau)) != 2:
-                continue
-            if _cycle_type(tuple(tau[inv[i]] for i in range(n2))) == target:
-                hits += 1
-    return Fraction(2 * hits, double_factorial(n2 - 1) * 2**n * factorial(n))
+
+def free_energy_coefficients(order: int) -> list[list[Fraction]]:
+    """Rows F_h[0..order] for h = 0..order//2 (F_h starts at g^(2h))."""
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    bits = factorial(2 * order).bit_length()
+    big_n = 1 << bits
+    p = [pairing_sum(level, big_n) for level in domino_characters(order)]
+    c = [0] * (order + 1)
+    for n in range(1, order + 1):
+        c[n] = p[n] - sum(comb(n - 1, k - 1) * c[k] * p[n - k] for k in range(1, n))
+    mask = big_n - 1
+    return [
+        [
+            Fraction((c[n] >> (bits * (n + 2 - 2 * h))) & mask, factorial(n) << n)
+            if n >= max(1, 2 * h)
+            else Fraction(0)
+            for n in range(order + 1)
+        ]
+        for h in range(order // 2 + 1)
+    ]

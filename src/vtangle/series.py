@@ -4,11 +4,15 @@ Everything here is a formal power series in the coupling g with exact
 rational coefficients, truncated at an explicit order.  The univariate
 kind (`QSeries`) carries one genus sector or a genus sum; the bivariate
 kind (`GenusSeries`) additionally tracks powers of x = 1/N^2, one per
-handle.  The pipeline runs: free energies per genus from closed forms,
-four-point function by differentiation, self-energy removal through the
+handle.  The pipeline runs: free energies of every genus from one
+character sum over the symmetric group (`charformula`), four-point
+function by differentiation, self-energy removal through the
 substitution point alpha(g), and finally the flype quotient through a
-renormalized coupling g0(g).  The resulting rows are the reference
-numbers the census and flype modules are tested against.
+renormalized coupling g0(g).  Every stage takes its truncation order as
+an argument and no order is capped; the genera follow from it, h <= order//2
+for the free energies and h <= (order+1)//2 for the Gamma rows.  The
+resulting rows are the reference numbers the census and flype modules are
+tested against.
 
 Floating point appears in exactly one place, the growth diagnostic, which
 estimates the radius of convergence and singularity exponent from
@@ -19,6 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+
+from .charformula import free_energy_coefficients
 
 
 class QSeries:
@@ -332,109 +338,42 @@ def compose_rows(rows: list[QSeries], arg: GenusSeries) -> GenusSeries:
     if arg.grid[0][0]:
         raise ValueError("composition needs a vanishing constant term")
     n_max, h_max = arg.n_max, arg.h_max
-    out = GenusSeries(n_max, h_max)
-    for h, series in enumerate(rows):
-        if h > h_max:
-            break
-        comp = GenusSeries.constant(series[0], n_max, h_max)
-        power = GenusSeries.constant(1, n_max, h_max)
-        top = min(series.order, n_max)
-        for n in range(1, top + 1):
-            power = power * arg
-            if series[n]:
-                comp = comp + power * series[n]
-        shifted = [[Fraction(0)] * h + list(row[: h_max + 1 - h]) for row in comp.grid]
-        out = out + GenusSeries(n_max, h_max, shifted)
-    return out
+    powers = [GenusSeries.constant(1, n_max, h_max)]
+    for _ in range(n_max):
+        powers.append(powers[-1] * arg)
+    grid = [[Fraction(0)] * (h_max + 1) for _ in range(n_max + 1)]
+    for h, series in enumerate(rows[: h_max + 1]):
+        for k in range(min(series.order, n_max) + 1):
+            c = series[k]
+            if not c:
+                continue
+            # arg^k has no terms below g^k.
+            for n in range(k, n_max + 1):
+                power_row, out_row = powers[k].grid[n], grid[n]
+                for j in range(h_max + 1 - h):
+                    if power_row[j]:
+                        out_row[h + j] += c * power_row[j]
+    return GenusSeries(n_max, h_max, grid)
 
 
 # -- free energies per genus -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def a2_series(order: int) -> QSeries:
-    """Solution of a2 = 1 + 3 g (a2)^2 with a2(0) = 1."""
-    a2 = QSeries.constant(1, order)
-    for _ in range(order + 1):
-        a2 = 1 + 3 * QSeries.gee(order) * a2 * a2
-    if a2 != 1 + 3 * QSeries.gee(order) * a2 * a2:
-        raise RuntimeError("fixed point did not settle")
-    return a2
-
-
-# Genus-3 free energy: the closed form is unwieldy, so the expansion is
-# carried as data (it starts at g^6 and is known through g^11).
-_F3_COEFFS = {
-    6: Fraction(495, 4),
-    7: Fraction(56628, 7),
-    8: Fraction(2504115, 8),
-    9: Fraction(9322668),
-    10: Fraction(472138479, 2),
-    11: Fraction(5345163216),
-}
-_F3_MAX_ORDER = max(_F3_COEFFS)
+def _check_genus(h: int, h_max: int) -> None:
+    if not 0 <= h <= h_max:
+        raise ValueError(f"genus {h} outside 0..{h_max} at this order")
 
 
 @lru_cache(maxsize=None)
+def _f_rows(order: int) -> tuple[QSeries, ...]:
+    """F_0..F_(order//2) through g^order; F_h starts at g^(2h)."""
+    return tuple(QSeries(order, row) for row in free_energy_coefficients(order))
+
+
 def F_genus(h: int, order: int) -> QSeries:
-    """Genus-h free energy (the weighted connected diagram count), h <= 3."""
-    if h == 0:
-        a2 = a2_series(order)
-        return a2.log() - Fraction(1, 12) * (a2 - 1) * (9 - a2)
-    if h == 1:
-        a2 = a2_series(order)
-        inner = (2 - a2) * (2 + a2) ** 3 * Fraction(1, 27)
-        return Fraction(-1, 24) * inner.log()
-    if h == 2:
-        return _f_two(order)
-    if h == 3:
-        if order > _F3_MAX_ORDER:
-            raise ValueError(f"genus-3 data stops at order {_F3_MAX_ORDER}")
-        return QSeries(
-            order, [_F3_COEFFS.get(n, 0) for n in range(order + 1)]
-        )
-    raise ValueError("closed forms cover genus 0..3 only")
-
-
-def _f_two(order: int) -> QSeries:
-    g = QSeries.gee(order)
-    a2 = a2_series(order)
-    ia2 = a2.reciprocal()
-    i1 = (1 - 6 * g * a2).reciprocal()
-    m0 = (1 - 2 * g * a2).reciprocal()
-    raw = (
-        Fraction(21, 40) * a2 * g**3 * i1**5
-        - Fraction(69, 640) * g**2 * i1**4
-        + Fraction(53, 2560) * g * ia2 * i1**3
-        + Fraction(1, 256) * g * ia2 * i1**2 * m0
-        - Fraction(3, 512) * g * ia2 * m0**3
-        - Fraction(1, 512) * ia2**2 * i1 * m0
-        - Fraction(3, 1024) * ia2**2 * m0**2
-        - Fraction(53, 15360) * ia2**2 * i1**2
-    )
-    # The rational closed form evaluates to -1/120 at g = 0; a free energy
-    # is only defined up to a constant, and this one must start at g^4.
-    return raw - raw[0]
-
-
-@lru_cache(maxsize=None)
-def F_all_N1(order: int) -> QSeries:
-    """log of the N=1 partition sum Z = sum((g/2)^n (2n)!/n!)."""
-    z = QSeries(
-        order,
-        [
-            Fraction(_factorial(2 * n), _factorial(n) * 2**n)
-            for n in range(order + 1)
-        ],
-    )
-    return z.log()
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    """Genus-h free energy: the weighted count of connected link diagrams."""
+    _check_genus(h, order // 2)
+    return _f_rows(order)[h]
 
 
 def G4_of(f):
@@ -453,99 +392,47 @@ def G2_of(f):
 
 
 # -- self-energy removal and the flype quotient ------------------------------
-
-N_MAX = 11
-H_MAX = 5
-
-
-@lru_cache(maxsize=None)
-def _f_rows(order: int = N_MAX) -> tuple[QSeries, ...]:
-    f4, f5 = extract_higher_genus(order)
-    return (
-        F_genus(0, order),
-        F_genus(1, order),
-        F_genus(2, order),
-        F_genus(3, order),
-        f4,
-        f5,
-    )
+#
+# Through g^order the Gamma rows need the free energies through g^(order+1),
+# and Gamma_h starts at g^(2h-1), so the rows run over h <= (order+1)//2.
 
 
 @lru_cache(maxsize=None)
-def extract_higher_genus(order: int = N_MAX) -> tuple[QSeries, QSeries]:
-    """Partial genus-4 and genus-5 free energies from the N=1 sum rule.
-
-    The residual R = F(N=1) - sum(F^(0..3)) holds everything of genus at
-    least 4.  Its g^8 and g^9 coefficients belong to genus 4 alone; the
-    hook-character formulas pin the two leading genus-5 coefficients, and
-    the genus-4 tail follows by subtraction.  The g^8 cross-check against
-    the closed form aborts loudly, since a mismatch means some series
-    upstream is wrong.
-    """
-    from .charformula import f_min, f_next
-
-    if order < 10:
-        raise ValueError("extraction needs at least order 10")
-    if order > _F3_MAX_ORDER:
-        raise ValueError(f"genus-3 data stops at order {_F3_MAX_ORDER}")
-    residual = F_all_N1(order)
-    for h in range(4):
-        residual = residual - F_genus(h, order)
-    if any(residual[n] for n in range(8)):
-        raise AssertionError("genus residual should start at g^8")
-    if residual[8] != f_min(4):
-        raise AssertionError(
-            f"g^8 residual {residual[8]} disagrees with the closed form {f_min(4)}"
-        )
-    f5 = [Fraction(0)] * (order + 1)
-    f5[10] = f_min(5)
-    if order >= 11:
-        f5[11] = f_next(5)
-    f5_series = QSeries(order, f5)
-    f4 = [Fraction(0)] * (order + 1)
-    f4[8], f4[9] = residual[8], residual[9]
-    for n in range(10, order + 1):
-        f4[n] = residual[n] - f5_series[n]
-    return QSeries(order, f4), f5_series
-
-
-@lru_cache(maxsize=None)
-def alpha_series(n_max: int = N_MAX - 1, h_max: int = H_MAX) -> GenusSeries:
+def alpha_series(order: int) -> GenusSeries:
     """The substitution point alpha(g) that removes all self-energies.
 
     Determined by G2(g, alpha) = 1, which by homogeneity is the fixed
     point alpha = 1 + (g/alpha^2) G4(g/alpha^2).
     """
-    rows = [G4_of(f) for f in _f_rows(n_max + 1)]
-    alpha = GenusSeries.constant(1, n_max, h_max)
-    for _ in range(n_max + 1):
-        arg = GenusSeries.gee(n_max, h_max) * alpha.reciprocal() ** 2
+    h_max = (order + 1) // 2
+    rows = [G4_of(f) for f in _f_rows(order + 1)]
+    alpha = GenusSeries.constant(1, order, h_max)
+    for _ in range(order + 1):
+        arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
         alpha = 1 + arg * compose_rows(rows, arg)
-    arg = GenusSeries.gee(n_max, h_max) * alpha.reciprocal() ** 2
+    arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
     if alpha != 1 + arg * compose_rows(rows, arg):
         raise RuntimeError("fixed point did not settle")
     return alpha
 
 
 @lru_cache(maxsize=None)
-def _gamma_all(n_max: int = N_MAX - 1, h_max: int = H_MAX) -> GenusSeries:
-    rows = [G4_of(f) for f in _f_rows(n_max + 1)]
-    alpha = alpha_series(n_max, h_max)
-    arg = GenusSeries.gee(n_max, h_max) * alpha.reciprocal() ** 2
+def _gamma_all(order: int) -> GenusSeries:
+    h_max = (order + 1) // 2
+    rows = [G4_of(f) for f in _f_rows(order + 1)]
+    alpha = alpha_series(order)
+    arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
     return alpha.reciprocal() ** 2 * compose_rows(rows, arg) - 2
 
 
-def gamma_genus(h: int, order: int = N_MAX - 1) -> QSeries:
+def gamma_genus(h: int, order: int) -> QSeries:
     """Connected, self-energy-free four-point function at genus h."""
-    if not 0 <= h <= H_MAX:
-        raise ValueError(f"genus data covers h <= {H_MAX}")
-    if order > N_MAX - 1:
-        raise ValueError(f"free-energy data supports order <= {N_MAX - 1}")
-    return _gamma_all(N_MAX - 1, H_MAX).row(h).truncate(order)
+    _check_genus(h, (order + 1) // 2)
+    return _gamma_all(order).row(h)
 
 
 @lru_cache(maxsize=None)
-def g0_series(order: int = N_MAX - 1) -> QSeries:
+def g0_series(order: int) -> QSeries:
     """Renormalized coupling implementing the quotient by flypes.
 
     Fixed point of g0 = g(-1 + 2/((1-g)(1+Gamma0(g0)))) where Gamma0 is
@@ -561,7 +448,7 @@ def g0_series(order: int = N_MAX - 1) -> QSeries:
     return g0
 
 
-def gamma_tilde(h: int, order: int = N_MAX - 1) -> QSeries:
+def gamma_tilde(h: int, order: int) -> QSeries:
     """Flype-equivalence class counts: the genus-h row of Gamma(g0(g))."""
     return gamma_genus(h, order).compose(g0_series(order))
 

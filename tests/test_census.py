@@ -41,7 +41,7 @@ from vtangle.codes import (
 )
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
-from vtangle.series import gamma_genus
+from vtangle.series import F_genus, gamma_genus
 
 # Counts per (crossings, genus) lifted from the acceptance tables; the
 # census must reproduce them exactly.
@@ -443,7 +443,7 @@ def test_tangle_six_census_matches_the_series(census):
     by_genus = census(6, "tangle")
     assert sorted(by_genus) == [0, 1, 2, 3]
     for h, row in by_genus.items():
-        assert len(row) == gamma_genus(h)[6]
+        assert len(row) == gamma_genus(h, 6)[6]
 
 
 def test_count_table_matches_the_census():
@@ -454,6 +454,17 @@ def test_count_table_matches_the_census():
 
 def test_weighted_link_table():
     assert weighted_link_counts(4) == WEIGHTED_LINKS
+
+
+def test_weighted_links_equal_the_free_energies():
+    """The two routes meet at the link level: the census weights through
+    six crossings against the character-sum free energies, genus by genus."""
+    weights = weighted_link_counts(6)
+    assert set(weights) <= {(n, h) for n in range(1, 7) for h in range(4)}
+    for h in range(4):
+        f = F_genus(h, 6)
+        for n in range(1, 7):
+            assert weights.get((n, h), 0) == f[n], (n, h)
 
 
 def test_planar_self_energy_shortcut():

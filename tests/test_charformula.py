@@ -1,7 +1,10 @@
-"""Character closed forms for the leading genus coefficients.
+"""The character route to the free energies, checked against definitions.
 
-The brute-force scans recompute the same rationals straight from the
-permutation-pair definition, so the two routes share no code.
+The library sums characters over S_2n.  Here that sum meets a brute-force
+scan of S_2n and the column orthogonality of the character table, and
+its free energies meet the hook-character closed forms for the leading
+coefficients, which the raw scans in ``oracles`` recompute in turn from
+the permutation-pair definition.
 """
 
 import itertools
@@ -12,34 +15,26 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from vtangle.charformula import (
+from oracles import (
     brute_force_leading,
     brute_force_next,
     class_size,
+    cycle_type,
     double_factorial,
     f_min,
     f_next,
     hook_character,
     hook_dimension,
 )
+from vtangle.charformula import (
+    domino_characters,
+    free_energy_coefficients,
+    pairing_sum,
+    partitions,
+)
 from vtangle.series import F_genus
 
 F = Fraction
-
-
-def cycle_type(perm):
-    seen = set()
-    lengths = []
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        j, length = i, 0
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def test_double_factorial():
@@ -65,12 +60,68 @@ def test_formulas_reject_genus_zero():
 
 
 def test_closed_forms_head_the_free_energies():
-    # The two leading coefficients of each genus row come out of the same
-    # character sums, so the series module must reproduce them verbatim.
-    for h in (1, 2, 3):
-        f = F_genus(h, 2 * h + 1)
+    # The hook-character sums give the two leading coefficients of each
+    # genus row; the full character sum must reproduce them verbatim.
+    for h in range(1, 7):
+        f = F_genus(h, 13)
+        assert all(f[n] == 0 for n in range(2 * h))
         assert f[2 * h] == f_min(h)
         assert f[2 * h + 1] == f_next(h)
+
+
+# -- the character sum over S_2n ---------------------------------------------
+
+
+def test_partitions_are_listed_once_each():
+    parts = list(partitions(10))
+    assert len(parts) == len(set(parts)) == 42
+    assert all(sum(p) == 10 and list(p) == sorted(p, reverse=True) for p in parts)
+
+
+DOMINO_LEVELS = list(domino_characters(8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pairing_sum_by_brute_force(n):
+    """sum over S_2n of N^(c(sigma) + c(sigma rho)), scanned directly."""
+    rho = [i ^ 1 for i in range(2 * n)]
+    exponents = Counter(
+        len(cycle_type(sigma)) + len(cycle_type([sigma[r] for r in rho]))
+        for sigma in itertools.permutations(range(2 * n))
+    )
+    for big_n in (1, 2, 5, 2**64):
+        want = sum(c * big_n**e for e, c in exponents.items())
+        assert pairing_sum(DOMINO_LEVELS[n], big_n) == want
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_domino_column_orthogonality(n):
+    """sum_lambda chi^lambda(2^n)^2 is the centralizer order 2^n n!."""
+    assert sum(chi * chi for chi in DOMINO_LEVELS[n].values()) == 2**n * factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_domino_character_on_hooks(n):
+    for s in range(2 * n):
+        hook = (2 * n - s,) + (1,) * s
+        assert DOMINO_LEVELS[n].get(hook, 0) == hook_character(2 * n, s, (2,) * n)
+
+
+def test_domino_levels_hold_every_nonzero_character():
+    """A shape of 2n has chi(2^n) != 0 exactly when it tiles by dominoes,
+    that is, when its 2-quotient has n boxes in all: sum p(a) p(n-a) shapes."""
+    p = [sum(1 for _ in partitions(m)) for m in range(9)]
+    for n, level in enumerate(DOMINO_LEVELS):
+        assert all(sum(shape) == 2 * n for shape in level)
+        assert len(level) == sum(p[a] * p[n - a] for a in range(n + 1))
+
+
+def test_free_energy_rows_cover_every_genus_the_order_allows():
+    rows = free_energy_coefficients(5)
+    assert len(rows) == 3 and all(len(row) == 6 for row in rows)
+    assert rows[0][:3] == [0, 1, F(9, 4)]
+    with pytest.raises(ValueError):
+        free_energy_coefficients(-1)
 
 
 # -- hooks -------------------------------------------------------------------

@@ -186,8 +186,8 @@ def test_tangle_five_census_and_classes_match_the_series(census):
     by_genus = census(5, "tangle")
     assert sorted(by_genus) == [0, 1, 2, 3]
     for h, row in by_genus.items():
-        assert len(row) == gamma_genus(h)[5]
-        assert len(flype_classes(codes(census, 5, "tangle", h))) == gamma_tilde(h)[5]
+        assert len(row) == gamma_genus(h, 5)[5]
+        assert len(flype_classes(codes(census, 5, "tangle", h))) == gamma_tilde(h, 5)[5]
 
 
 def test_every_member_of_a_merged_class_reaches_the_others(census):

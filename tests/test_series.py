@@ -2,7 +2,9 @@
 
 Every comparison is exact rational equality.  The tables are the same
 ones the census tests use, so a failure on either side localizes whether
-counting or analysis broke.
+counting or analysis broke.  Beyond the tables, the free energies are
+checked against the closed forms and the N=1 sum rule in ``oracles``,
+which share no code with the character route of the library.
 """
 
 import math
@@ -11,17 +13,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import CLOSED_FORMS, F_all_N1, a2_series
 from vtangle.series import (
-    F_all_N1,
     F_genus,
     G2_of,
     G4_of,
     GenusSeries,
     QSeries,
-    a2_series,
     alpha_series,
     compose_rows,
-    extract_higher_genus,
     g0_series,
     gamma_genus,
     gamma_tilde,
@@ -52,6 +52,17 @@ GAMMA_TILDE_ROWS = {
 # printed source dropped the final digit.
 GAMMA_N1 = [0, 2, 10, 82, 898, 12018, 187626, 3323682, 65607682, 1424967394, 33736908874]
 GAMMA_TILDE_N1 = [0, 2, 10, 78, 850, 11426, 179238, 3187002, 63095526, 1373767142, 32594018854]
+
+# Values the library once carried as data or extracted through the N=1 sum
+# rule, before the character route computed every genus: the genus-3 row
+# through g^11 and the genus-4 and genus-5 rows at orders 8-11.
+F3_DATA = {6: F(495, 4), 7: F(56628, 7), 8: F(2504115, 8), 9: F(9322668),
+           10: F(472138479, 2), 11: F(5345163216)}
+F4_DATA = {8: F(225225, 16), 9: F(1368653), 10: F(1495900107, 20), 11: F(3023618067)}
+F5_DATA = {10: F(11904165, 4), 11: F(4304016990, 11)}
+
+# The rows beyond the frozen tables run to this order, where h <= 7.
+DEEP = 14
 
 
 # -- series plumbing ---------------------------------------------------------
@@ -100,7 +111,7 @@ def test_genus_series_reciprocal():
     assert biv * biv.reciprocal() == GenusSeries.constant(1, 6, 1)
 
 
-# -- closed forms ------------------------------------------------------------
+# -- free energies -----------------------------------------------------------
 
 
 def test_a2_fixed_point_coefficients():
@@ -137,12 +148,22 @@ def test_f2_expansion():
 
 
 def test_f3_is_data_limited():
-    f3 = F_genus(3, 11)
-    assert f3[6] == F(495, 4) and f3[7] == F(56628, 7)
-    with pytest.raises(ValueError):
-        F_genus(3, 12)
-    with pytest.raises(ValueError):
-        F_genus(4, 8)
+    """Genus 3 is no longer a table that stops at g^11: the row equals the
+    former data there and runs on, and only genera that cannot occur at
+    the order are refused."""
+    f3 = F_genus(3, 12)
+    assert [f3[n] for n in range(12)] == [F3_DATA.get(n, 0) for n in range(12)]
+    assert f3[12] > 0
+    assert F_genus(3, 11) == f3.truncate(11)
+    assert F_genus(4, 8)[8] == F4_DATA[8]
+    for h, order in ((4, 7), (-1, 5), (1, 1)):
+        with pytest.raises(ValueError):
+            F_genus(h, order)
+
+
+def test_closed_forms_equal_the_character_route():
+    for h, closed_form in enumerate(CLOSED_FORMS):
+        assert closed_form(15) == F_genus(h, 15)
 
 
 def test_f_all_n1_expansion():
@@ -154,7 +175,7 @@ def test_f_all_n1_expansion():
 
 
 def test_each_genus_starts_at_twice_its_handle_count():
-    for h in range(4):
+    for h in range(6):
         f = F_genus(h, 11)
         lead = max(1, 2 * h)
         assert all(f[n] == 0 for n in range(lead))
@@ -170,18 +191,29 @@ def test_low_genus_sum_misses_n1_only_from_g8():
 
 
 def test_extracted_higher_genus_rows():
-    f4, f5 = extract_higher_genus(11)
-    assert [f4[n] for n in (8, 9, 10, 11)] == [
-        F(225225, 16), 1368653, F(1495900107, 20), 3023618067]
-    assert [f5[n] for n in (10, 11)] == [F(11904165, 4), F(4304016990, 11)]
+    f4, f5 = F_genus(4, 11), F_genus(5, 11)
+    assert {n: f4[n] for n in range(12) if f4[n]} == F4_DATA
+    assert {n: f5[n] for n in range(12) if f5[n]} == F5_DATA
+
+
+def sum_rule_holds(order):
+    total = QSeries.zero(order)
+    for h in range(order // 2 + 1):
+        total = total + F_genus(h, order)
+    return total == F_all_N1(order)
 
 
 def test_full_sum_rule_through_order_11():
-    f4, f5 = extract_higher_genus(11)
-    total = f4 + f5
-    for h in range(4):
-        total = total + F_genus(h, 11)
-    assert total == F_all_N1(11)
+    assert sum_rule_holds(11)
+
+
+def test_full_sum_rule_through_order_15():
+    assert sum_rule_holds(15)
+
+
+@pytest.mark.slow
+def test_full_sum_rule_through_order_17():
+    assert sum_rule_holds(17)
 
 
 # -- correlators and the substitution point ----------------------------------
@@ -201,11 +233,8 @@ def test_g2_of_matches_its_definition():
 
 def test_alpha_fixes_the_two_point_function():
     # At the substitution point the dressed two-point function is exactly 1.
-    alpha = alpha_series(10, 5)
-    rows = [
-        G4_of(f)
-        for f in (*(F_genus(h, 11) for h in range(4)), *extract_higher_genus(11))
-    ]
+    alpha = alpha_series(10)
+    rows = [G4_of(F_genus(h, 11)) for h in range(6)]
     arg = GenusSeries.gee(10, 5) * alpha.reciprocal() ** 2
     two_point = alpha.reciprocal() * (1 + arg * compose_rows(rows, arg))
     assert two_point == GenusSeries.constant(1, 10, 5)
@@ -213,7 +242,7 @@ def test_alpha_fixes_the_two_point_function():
 
 def test_alpha_gamma_identity():
     # g Gamma(g) = alpha(g) - 1 - 2g, sector by sector, at every order.
-    alpha = alpha_series(10, 5)
+    alpha = alpha_series(10)
     g = GenusSeries.gee(10, 5)
     gamma = GenusSeries.from_rows([gamma_genus(h, 10) for h in range(6)], 10)
     assert g * gamma == alpha - 1 - 2 * g
@@ -225,10 +254,12 @@ def test_gamma_rows(h):
 
 
 def test_gamma_bad_arguments():
-    with pytest.raises(ValueError):
-        gamma_genus(6, 8)
-    with pytest.raises(ValueError):
-        gamma_genus(0, 11)
+    """No order cap: the genus bound (order+1)//2 follows from the order."""
+    for h, order in ((6, 10), (-1, 10), (DEEP // 2 + 1, DEEP)):
+        with pytest.raises(ValueError):
+            gamma_genus(h, order)
+    top = gamma_genus(DEEP // 2, DEEP)
+    assert [n for n in range(DEEP + 1) if top[n]] == [DEEP - 1, DEEP]
 
 
 # -- flype quotient ----------------------------------------------------------
@@ -260,10 +291,47 @@ def test_n1_sum_rules():
 
 
 def test_class_counts_are_nonnegative_integers():
-    for h in range(6):
-        for series in (gamma_genus(h, 10), gamma_tilde(h, 10)):
+    for h in range(DEEP // 2 + 1):
+        for series in (gamma_genus(h, DEEP), gamma_tilde(h, DEEP)):
             for c in series.coeffs:
                 assert c.denominator == 1 and c >= 0
+
+
+def test_deep_rows_extend_the_tables():
+    for h in range(6):
+        assert gamma_genus(h, DEEP).truncate(10) == gamma_genus(h, 10)
+        assert gamma_tilde(h, DEEP).truncate(10) == gamma_tilde(h, 10)
+
+
+def univariate_gamma(f):
+    """Gamma of one univariate free energy: the alpha fixed point, then
+    Gamma = G4(g/alpha^2)/alpha^2 - 2, all in one variable."""
+    g4 = G4_of(f)
+    order = g4.order
+    g = QSeries.gee(order)
+    alpha = QSeries.constant(1, order)
+    for _ in range(order + 1):
+        arg = g * alpha.reciprocal() ** 2
+        alpha = 1 + arg * g4.compose(arg)
+    arg = g * alpha.reciprocal() ** 2
+    return alpha.reciprocal() ** 2 * g4.compose(arg) - 2
+
+
+def test_n1_rows_through_order_14_match_a_univariate_pipeline():
+    """Sum over h of Gamma_h and Gamma~_h against the same pipeline run
+    in g alone on the N=1 oracle, with g0 from the planar closed form."""
+    gamma_n1 = univariate_gamma(F_all_N1(DEEP + 1))
+    gamma0 = univariate_gamma(CLOSED_FORMS[0](DEEP + 1))
+    g = QSeries.gee(DEEP)
+    g0 = g
+    for _ in range(DEEP + 1):
+        g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
+    rows = range(DEEP // 2 + 1)
+    assert sum((gamma_genus(h, DEEP) for h in rows), QSeries.zero(DEEP)) == gamma_n1
+    tilde = sum((gamma_tilde(h, DEEP) for h in rows), QSeries.zero(DEEP))
+    assert tilde == gamma_n1.compose(g0)
+    assert list(gamma_n1.truncate(10).coeffs) == GAMMA_N1
+    assert list(tilde.truncate(10).coeffs) == GAMMA_TILDE_N1
 
 
 # -- growth diagnostics ------------------------------------------------------
@@ -276,14 +344,14 @@ def test_growth_of_a_geometric_series():
 
 
 def test_growth_of_the_planar_free_energy():
-    gc, e = growth_diagnostic(F_genus(0, 11))
-    assert gc == pytest.approx(1 / 12, rel=0.10)
+    gc, e = growth_diagnostic(F_genus(0, 15))
+    assert gc == pytest.approx(1 / 12, rel=0.05)
     assert 0 < e < 4  # slow ratio convergence; the sign and scale suffice
 
 
 def test_growth_of_the_flype_reduced_planar_row():
-    gc, _ = growth_diagnostic(gamma_tilde(0, 10))
-    assert gc == pytest.approx((-101 + math.sqrt(21001)) / 270, rel=0.10)
+    gc, _ = growth_diagnostic(gamma_tilde(0, DEEP))
+    assert gc == pytest.approx((-101 + math.sqrt(21001)) / 270, rel=0.01)
 
 
 def test_growth_needs_enough_terms():
