@@ -4,7 +4,7 @@ Diagrams are encoded by a single permutation sigma on an even label set;
 everything else (faces, genus, strands, flypes, invariants) is derived from
 it.  The ``series`` module carries the exact generating-function side
 used to cross-check the census counts, from free energies of every genus
-that ``charformula`` sums over characters of the symmetric group.
+that an integer recurrence for rooted maps gives.
 """
 
 from .diagrams import LinkDiagram, TangleDiagram, OrientedDiagram

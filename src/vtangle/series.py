@@ -4,15 +4,15 @@ Everything here is a formal power series in the coupling g with exact
 rational coefficients, truncated at an explicit order.  The univariate
 kind (`QSeries`) carries one genus sector or a genus sum; the bivariate
 kind (`GenusSeries`) additionally tracks powers of x = 1/N^2, one per
-handle.  The pipeline runs: free energies of every genus from one
-character sum over the symmetric group (`charformula`), four-point
-function by differentiation, self-energy removal through the
-substitution point alpha(g), and finally the flype quotient through a
-renormalized coupling g0(g).  Every stage takes its truncation order as
-an argument and no order is capped; the genera follow from it, h <= order//2
-for the free energies and h <= (order+1)//2 for the Gamma rows.  The
-resulting rows are the reference numbers the census and flype modules are
-tested against.
+handle.  The pipeline runs: free energies of every genus from the
+integer recurrence for rooted maps, four-point function by
+differentiation, self-energy removal through the substitution point
+alpha(g), and finally the flype quotient through a renormalized coupling
+g0(g).  Every stage takes its truncation order as an argument and no
+order is capped; the genera follow from it, h <= order//2 for the free
+energies and h <= (order+1)//2 for the Gamma rows.  The resulting rows
+are the reference numbers the census and flype modules are tested
+against.
 
 Floating point appears in exactly one place, the growth diagnostic, which
 estimates the radius of convergence and singularity exponent from
@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-from .charformula import free_energy_coefficients
 
 
 class QSeries:
@@ -140,18 +138,6 @@ class QSeries:
             self.order - 1,
             [n * c for n, c in enumerate(self.coeffs)][1:],
         )
-
-    def integral(self) -> "QSeries":
-        return QSeries(
-            self.order + 1,
-            [Fraction(0)] + [c / (n + 1) for n, c in enumerate(self.coeffs)],
-        )
-
-    def log(self) -> "QSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs constant term 1")
-        return (self.derivative() * self.reciprocal()).integral().truncate(self.order)
 
     def compose(self, inner: "QSeries") -> "QSeries":
         """self(inner(g)); the inner series must have no constant term."""
@@ -366,8 +352,39 @@ def _check_genus(h: int, h_max: int) -> None:
 
 @lru_cache(maxsize=None)
 def _f_rows(order: int) -> tuple[QSeries, ...]:
-    """F_0..F_(order//2) through g^order; F_h starts at g^(2h)."""
-    return tuple(QSeries(order, row) for row in free_energy_coefficients(order))
+    """F_0..F_(order//2) through g^order; F_h starts at g^(2h).
+
+    The medial construction matches link diagrams with n crossings to maps
+    with n edges, genus for genus, so F_h[n] = Q_h(n) / (2n), where Q_h(n)
+    counts rooted maps of genus h with n edges.  Carrell and Chapuy
+    (JCTA 133 (2015) 58-75) give
+
+        (n+1) Q_h(n) = 4(2n-1) Q_h(n-1) + (2n-3)(n-1)(2n-1) Q_(h-1)(n-2)
+            + 3 sum_(k=1..n-1) (2k-1)(2n-2k-1) sum_(i=0..h) Q_i(k-1) Q_(h-i)(n-k-1)
+
+    with Q_0(0) = 1, and the division by n+1 is exact.
+    """
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
+    h_max = order // 2
+    q = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(h_max)]
+    for n in range(1, order + 1):
+        for h in range(h_max + 1):
+            total = 4 * (2 * n - 1) * q[h][n - 1]
+            if h and n >= 2:
+                total += (2 * n - 3) * (n - 1) * (2 * n - 1) * q[h - 1][n - 2]
+            total += 3 * sum(
+                (2 * k - 1) * (2 * n - 2 * k - 1) * q[i][k - 1] * q[h - i][n - k - 1]
+                for k in range(1, n)
+                for i in range(h + 1)
+            )
+            q[h][n], remainder = divmod(total, n + 1)
+            if remainder:
+                raise RuntimeError(f"rooted-map recurrence left a remainder at h={h}, n={n}")
+    return tuple(
+        QSeries(order, [0] + [Fraction(row[n], 2 * n) for n in range(1, order + 1)])
+        for row in q
+    )
 
 
 def F_genus(h: int, order: int) -> QSeries:
@@ -406,9 +423,14 @@ def alpha_series(order: int) -> GenusSeries:
     """
     h_max = (order + 1) // 2
     rows = [G4_of(f) for f in _f_rows(order + 1)]
-    alpha = GenusSeries.constant(1, order, h_max)
-    for _ in range(order + 1):
-        arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
+    alpha = GenusSeries.constant(1, 0, 0)
+    # Sweep k fixes g^k, given alpha exact below it, so it runs at that
+    # truncation; the x^h sector of alpha starts at g^(2h), so padding the
+    # previous alpha with zeros up to h = (k+1)//2 is exact.
+    for k in range(order + 1):
+        hk = (k + 1) // 2
+        alpha = GenusSeries(k, hk, alpha.grid)
+        arg = GenusSeries.gee(k, hk) * alpha.reciprocal() ** 2
         alpha = 1 + arg * compose_rows(rows, arg)
     arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
     if alpha != 1 + arg * compose_rows(rows, arg):
@@ -439,9 +461,11 @@ def g0_series(order: int) -> QSeries:
     the planar four-point row.
     """
     gamma0 = gamma_genus(0, order)
-    g = QSeries.gee(order)
-    g0 = g
-    for _ in range(order + 1):
+    g0 = QSeries.zero(0)
+    # As for alpha: sweep k fixes g^k, so it runs at order k.
+    for k in range(order + 1):
+        g = QSeries.gee(k)
+        g0 = QSeries(k, g0.coeffs)
         g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
     if g0 != g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1):
         raise RuntimeError("fixed point did not settle")

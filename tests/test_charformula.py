@@ -1,8 +1,10 @@
-"""The character route to the free energies, checked against definitions.
+"""The character-sum oracle for the free energies, checked both ways.
 
-The library sums characters over S_2n.  Here that sum meets a brute-force
-scan of S_2n and the column orthogonality of the character table, and
-its free energies meet the hook-character closed forms for the leading
+The library takes every F_h from the rooted-map recurrence; the character
+sum over S_2n in ``oracles`` is its independent reference.  Here that sum
+meets a brute-force scan of S_2n and the column orthogonality of the
+character table, the recurrence meets the sum at every genus, and the
+free energies meet the hook-character closed forms for the leading
 coefficients, which the raw scans in ``oracles`` recompute in turn from
 the permutation-pair definition.
 """
@@ -20,19 +22,17 @@ from oracles import (
     brute_force_next,
     class_size,
     cycle_type,
+    domino_characters,
     double_factorial,
     f_min,
     f_next,
+    free_energy_coefficients,
     hook_character,
     hook_dimension,
-)
-from vtangle.charformula import (
-    domino_characters,
-    free_energy_coefficients,
     pairing_sum,
     partitions,
 )
-from vtangle.series import F_genus
+from vtangle.series import F_genus, _f_rows
 
 F = Fraction
 
@@ -61,7 +61,7 @@ def test_formulas_reject_genus_zero():
 
 def test_closed_forms_head_the_free_energies():
     # The hook-character sums give the two leading coefficients of each
-    # genus row; the full character sum must reproduce them verbatim.
+    # genus row; the library's free energies must reproduce them verbatim.
     for h in range(1, 7):
         f = F_genus(h, 13)
         assert all(f[n] == 0 for n in range(2 * h))
@@ -117,11 +117,18 @@ def test_domino_levels_hold_every_nonzero_character():
 
 
 def test_free_energy_rows_cover_every_genus_the_order_allows():
-    rows = free_energy_coefficients(5)
-    assert len(rows) == 3 and all(len(row) == 6 for row in rows)
-    assert rows[0][:3] == [0, 1, F(9, 4)]
+    rows = _f_rows(5)
+    assert len(rows) == 3 and all(row.order == 5 for row in rows)
+    assert rows[0].coeffs[:3] == (0, 1, F(9, 4))
     with pytest.raises(ValueError):
-        free_energy_coefficients(-1)
+        _f_rows(-1)
+
+
+def test_recurrence_equals_the_character_sum():
+    """The rooted-map recurrence against the character sum at every genus."""
+    for order in (*range(7), 15):
+        rows = [list(row.coeffs) for row in _f_rows(order)]
+        assert rows == free_energy_coefficients(order)
 
 
 # -- hooks -------------------------------------------------------------------

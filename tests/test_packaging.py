@@ -23,3 +23,12 @@ def test_script_targets_import():
 
 def test_numba_is_not_a_dependency():
     assert not any(dep.startswith("numba") for dep in PROJECT["dependencies"])
+
+
+@pytest.mark.parametrize("module", ["vtangle.charformula"])
+def test_deleted_modules_stay_deleted(module):
+    """A module that left the package is neither importable nor an entry point."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+    targets = PROJECT.get("scripts", {}).values()
+    assert not any(target.split(":")[0] == module for target in targets)

@@ -4,7 +4,7 @@ Every comparison is exact rational equality.  The tables are the same
 ones the census tests use, so a failure on either side localizes whether
 counting or analysis broke.  Beyond the tables, the free energies are
 checked against the closed forms and the N=1 sum rule in ``oracles``,
-which share no code with the character route of the library.
+which share no code with the rooted-map recurrence of the library.
 """
 
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import CLOSED_FORMS, F_all_N1, a2_series
+from oracles import CLOSED_FORMS, F_all_N1, a2_series, log
 from vtangle.series import (
     F_genus,
     G2_of,
@@ -54,15 +54,15 @@ GAMMA_N1 = [0, 2, 10, 82, 898, 12018, 187626, 3323682, 65607682, 1424967394, 337
 GAMMA_TILDE_N1 = [0, 2, 10, 78, 850, 11426, 179238, 3187002, 63095526, 1373767142, 32594018854]
 
 # Values the library once carried as data or extracted through the N=1 sum
-# rule, before the character route computed every genus: the genus-3 row
+# rule, before one formula computed every genus: the genus-3 row
 # through g^11 and the genus-4 and genus-5 rows at orders 8-11.
 F3_DATA = {6: F(495, 4), 7: F(56628, 7), 8: F(2504115, 8), 9: F(9322668),
            10: F(472138479, 2), 11: F(5345163216)}
 F4_DATA = {8: F(225225, 16), 9: F(1368653), 10: F(1495900107, 20), 11: F(3023618067)}
 F5_DATA = {10: F(11904165, 4), 11: F(4304016990, 11)}
 
-# The rows beyond the frozen tables run to this order, where h <= 7.
-DEEP = 14
+# The rows beyond the frozen tables run to this order, where h <= 9.
+DEEP = 18
 
 
 # -- series plumbing ---------------------------------------------------------
@@ -87,7 +87,7 @@ def test_reciprocal_and_log_invert(xs):
     order = len(xs) - 1
     p = QSeries(order, [1] + xs[1:])
     assert p * p.reciprocal() == QSeries.constant(1, order)
-    assert p.log().derivative() == (p.derivative() * p.reciprocal()).truncate(order - 1)
+    assert log(p).derivative() == (p.derivative() * p.reciprocal()).truncate(order - 1)
 
 
 def test_compose_requires_no_constant_term():
@@ -246,6 +246,13 @@ def test_alpha_gamma_identity():
     g = GenusSeries.gee(10, 5)
     gamma = GenusSeries.from_rows([gamma_genus(h, 10) for h in range(6)], 10)
     assert g * gamma == alpha - 1 - 2 * g
+
+
+def test_alpha_grows_one_order_per_sweep():
+    # Every truncation of the deep fixed point is the fixed point at that order.
+    deep = alpha_series(DEEP)
+    for k in range(DEEP + 1):
+        assert deep.truncate(k, (k + 1) // 2) == alpha_series(k)
 
 
 @pytest.mark.parametrize("h", sorted(GAMMA_ROWS))
