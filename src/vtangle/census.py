@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .perms import Perm, conjugate
+from .perms import Perm
 from .codes import canonical_code, tied_roots
 from .diagrams import (
     LinkDiagram,
@@ -61,36 +61,6 @@ def canonical_form(d: LinkDiagram) -> Perm:
 
 def canonical_diagram(d: LinkDiagram) -> LinkDiagram:
     return type(d)(d.n, canonical_form(d))
-
-
-# -- the relabelling group, for oracles and property tests -------------------
-
-
-def relabelling_elements(n2: int, fix_marked: bool = False):
-    """All relabellings of ``0..n2-1`` commuting with the block pairing.
-
-    Factorially large; meant for small-size oracles only.
-    """
-    nb = n2 // 2 - (1 if fix_marked else 0)
-    for bperm in itertools.permutations(range(nb)):
-        for flips in itertools.product((0, 1), repeat=nb):
-            g = [0] * n2
-            for b in range(nb):
-                g[2 * b] = 2 * bperm[b] + flips[b]
-                g[2 * b + 1] = 2 * bperm[b] + 1 - flips[b]
-            if fix_marked:
-                g[n2 - 2] = n2 - 2
-                g[n2 - 1] = n2 - 1
-            yield tuple(g)
-
-
-def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
-    """Minimum over the whole relabelling group; oracle for small ``n``."""
-    marked = isinstance(d, TangleDiagram)
-    return min(
-        conjugate(g, d.sigma)
-        for g in relabelling_elements(d.size, fix_marked=marked)
-    )
 
 
 # -- generation --------------------------------------------------------------

@@ -178,17 +178,6 @@ def tied_roots(sigma, roots, marked: bool = False) -> list[int] | None:
     return kept
 
 
-def canonical_multiplicity(sigma: Perm, marked: bool = False) -> int:
-    """Number of roots whose trace reproduces ``sigma``, or 0 when ``sigma``
-    is not its own canonical code.
-
-    For a canonical ``sigma`` the result is :func:`code_multiplicity`.
-    ``sigma`` is not validated.
-    """
-    tied = tied_roots(sigma, _roots(sigma, marked), marked)
-    return 0 if tied is None else len(tied)
-
-
 def canonical_code(sigma: Perm, marked: bool = False) -> Perm:
     """Lexicographically smallest rooted code of ``sigma``."""
     return canonical_code_stats(sigma, marked)[0]
@@ -197,8 +186,3 @@ def canonical_code(sigma: Perm, marked: bool = False) -> Perm:
 def code_multiplicity(sigma: Perm, marked: bool = False) -> int:
     """Number of roots whose trace reproduces the canonical code."""
     return canonical_code_stats(sigma, marked)[1]
-
-
-def is_canonical(sigma: Perm, marked: bool = False) -> bool:
-    """True when ``sigma`` equals its own canonical code."""
-    return canonical_multiplicity(check_perm(sigma), marked) > 0

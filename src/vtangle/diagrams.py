@@ -224,46 +224,68 @@ def _orbit_size(p: Perm, q: Perm, size: int) -> int:
     return count
 
 
-def _same_cycle_pairs(d: LinkDiagram):
-    """Pairs of distinct edges lying in one cycle of sigma *and* one of tau."""
-    sid = _cycle_ids(d.sigma)
-    tid = _cycle_ids(d.tau)
-    for a in range(d.size):
-        for b in range(a + 1, d.size):
-            if sid[a] == sid[b] and tid[a] == tid[b]:
-                yield (a, b)
+def cut_labels(sigma: Perm) -> list[int]:
+    """GF(2) cocycle label of every edge, as a bit set in a Python int.
 
-
-def _cycle_ids(p: Perm) -> list[int]:
-    ids = [-1] * len(p)
-    k = 0
-    for start in range(len(p)):
-        if ids[start] >= 0:
+    The graph has a vertex per crossing and edge ``e`` joins crossings
+    ``e // 2`` and ``sigma^-1(e) // 2``.  A spanning tree is grown from
+    every unvisited crossing; each edge off the tree closes one fundamental
+    cycle and gets its own bit, and a tree edge carries the bits of the
+    cycles through it, the XOR of the off-tree edges leaving the subtree
+    below it.  Bit ``i`` of a label says whether the edge lies on cycle
+    ``i``, and the cycles span the cycle space, so a set of edges is an
+    edge cut (the edges leaving some vertex set) exactly when its labels
+    XOR to 0: two edges form a cut when their labels are equal.
+    """
+    n2 = len(sigma)
+    under = [0] * n2
+    for a, e in enumerate(sigma):
+        under[e] = a // 2
+    up = [-1] * (n2 // 2)  # tree edge to the parent, -1 at a root
+    seen = [False] * (n2 // 2)
+    order = []
+    for root in range(n2 // 2):
+        if seen[root]:
             continue
-        x = start
-        while ids[x] < 0:
-            ids[x] = k
-            x = p[x]
-        k += 1
-    return ids
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for e in (2 * v, 2 * v + 1, sigma[2 * v], sigma[2 * v + 1]):
+                w = e // 2 ^ under[e] ^ v  # the far end of e
+                if not seen[w]:
+                    seen[w] = True
+                    up[w] = e
+                    stack.append(w)
+    labels = [0] * n2
+    below = [0] * (n2 // 2)  # XOR of the off-tree bits at each crossing
+    tree = set(up)
+    bit = 1
+    for e in range(n2):
+        if e not in tree:
+            labels[e] = bit
+            below[e // 2] ^= bit
+            below[under[e]] ^= bit
+            bit <<= 1
+    for v in reversed(order):  # children before parents
+        e = up[v]
+        if e >= 0:
+            labels[e] = below[v]
+            below[e // 2 ^ under[e] ^ v] ^= below[v]
+    return labels
 
 
 def has_self_energy(d: LinkDiagram) -> bool:
     """True when two edges can be cut so that the diagram falls apart,
     exposing a two-legged subdiagram.
 
-    The candidate pairs are those sharing a white and a black face; each is
-    tested by composing both face permutations with the transposition and
-    checking connectivity of the result.
+    Such a pair is a 2-edge cut, so it shows as two equal
+    :func:`cut_labels`; one label pass tests every pair.  (A single edge
+    is never a cut: every crossing has four edge ends, so every cut has an
+    even number of edges.)  Expects a connected diagram.
     """
-    for a, b in _same_cycle_pairs(d):
-        swap = list(range(d.size))
-        swap[a], swap[b] = b, a
-        cut_sigma = compose(d.sigma, tuple(swap))
-        cut_tau = compose(d.tau, tuple(swap))
-        if _orbit_size(cut_sigma, cut_tau, d.size) < d.size:
-            return True
-    return False
+    return len(set(cut_labels(d.sigma))) < d.size
 
 
 def symmetry_order(d: LinkDiagram) -> int:

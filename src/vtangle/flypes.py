@@ -14,6 +14,13 @@ The same construction with ``sigma`` and ``tau`` exchanged gives the moves
 across black faces; both colors together generate the full flype
 equivalence.  The under-edge pairing of the rewired diagram is no longer
 in block normal form, so every application ends with a relabelling.
+
+The four edges ``mu``, ``nu``, ``gamma`` and ``delta`` of an admissible
+frame are exactly the edges leaving the flipped piece, so they form an
+edge cut.  The site search reads that off the diagram's cut labels
+(:func:`~vtangle.diagrams.cut_labels`): a frame whose four labels do not
+XOR to 0 is dropped before any search, and only the survivors get the
+breadth-first search that tells the piece from the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .census import canonical_diagram
-from .diagrams import LinkDiagram, TangleDiagram
+from .diagrams import LinkDiagram, TangleDiagram, cut_labels
 from .perms import Perm, compose, conjugate, cycles, inverse, pair_normalizer
 
 COLORS = ("white", "black")
@@ -75,16 +82,33 @@ def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
     closed up on its own, must be planar.  Black sites are the same with
     the two face permutations exchanged.  Expects a connected diagram
     without self-energies; a tangle's marked crossing never takes part.
+
+    The cut is tested in two steps.  First the XOR of the four edges'
+    :func:`~vtangle.diagrams.cut_labels` must be 0, which is one integer
+    operation per frame.  This drops no site: the piece an admissible
+    frame cuts out is a vertex component once the four edges are removed,
+    so no other edge leaves it, and each of the four has exactly one end
+    in it; the four are then precisely the edges leaving a vertex set, an
+    edge cut, and edge cuts are the sets whose labels XOR to 0.  Only the
+    frames that pass get the breadth-first search, which is still needed
+    to tell the inside of the cut from the outside.  Without self-energies
+    every cut has at least four edges (cuts have an even size in a graph
+    whose crossings all have four edge ends), so the four edges of a
+    passing frame are a minimal cut: removing them leaves exactly two
+    pieces, and the search decides whether they sit the way a flype
+    needs.
     """
+    # Both colors see one graph: tau^-1(e) // 2 == sigma^-1(e) // 2.
+    lab = cut_labels(d.sigma)
     out = []
     for color in COLORS:
-        out.extend(_sites_one_color(d, color))
+        out.extend(_sites_one_color(d, color, lab))
     return out
 
 
-def _sites_one_color(d: LinkDiagram, color: str) -> list[FlypeSite]:
+def _sites_one_color(d: LinkDiagram, color: str, lab: list[int]) -> list[FlypeSite]:
     s, t = _face_perms(d, color)
-    s_inv, t_inv = inverse(s), inverse(t)
+    s_inv = inverse(s)
     marked = d.n - 1 if isinstance(d, TangleDiagram) else None
 
     t_cycle_of: dict[int, tuple[int, ...]] = {}
@@ -103,13 +127,14 @@ def _sites_one_color(d: LinkDiagram, color: str) -> list[FlypeSite]:
         beta, mu, nu = s[alpha], t[alpha], alpha ^ 1
         if len({alpha, beta, mu, nu}) < 4:
             continue
+        frame = lab[mu] ^ lab[nu]
         for delta in t_cycle_of[alpha]:
             if delta in (alpha, beta, mu, nu):
                 continue
             for gamma in t_cycle_of[beta]:
                 if gamma == delta or gamma in (alpha, beta, mu, nu):
                     continue
-                if s_id[gamma] != s_id[delta]:
+                if s_id[gamma] != s_id[delta] or lab[gamma] ^ lab[delta] != frame:
                     continue
                 sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
                 if sub is None:
@@ -255,6 +280,9 @@ def _surgery(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
         or delta in (alpha, beta, mu, nu)
     ):
         raise ValueError(f"not a flype site of this diagram: {site}")
+    lab = cut_labels(d.sigma)
+    if lab[mu] ^ lab[nu] ^ lab[gamma] ^ lab[delta]:
+        raise ValueError(f"frame edges do not form a cut: {site}")
     s_inv, t_inv = inverse(s), inverse(t)
     marked = d.n - 1 if isinstance(d, TangleDiagram) else None
     sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -155,35 +154,3 @@ def builtin_groups() -> dict[str, FiniteGroup]:
     s4 = FiniteGroup.symmetric(4)
     a5z2 = a5.direct_product(FiniteGroup.cyclic(2))
     return {g.name: g for g in (s3, a4, a5, s4, a5z2)}
-
-
-# -- multiplication-table files ----------------------------------------------
-#
-# Plain text: '#' starts a comment, an optional "name <token>" line names
-# the group, and the remaining lines hold the table rows as integers.
-
-
-def load_group_table(path) -> FiniteGroup:
-    path = Path(path)
-    name = path.stem
-    rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.startswith("name "):
-            name = body.split(None, 1)[1]
-            continue
-        try:
-            rows.append([int(tok) for tok in body.split()])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected integers, got {body!r}")
-    if not rows:
-        raise ValueError(f"{path}: no table rows found")
-    return FiniteGroup(name, rows)
-
-
-def save_group_table(group: FiniteGroup, path) -> None:
-    lines = [f"name {group.name}"]
-    lines += [" ".join(str(x) for x in row) for row in group.table]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -442,9 +442,9 @@ def alpha_series(order: int) -> GenusSeries:
 def _gamma_all(order: int) -> GenusSeries:
     h_max = (order + 1) // 2
     rows = [G4_of(f) for f in _f_rows(order + 1)]
-    alpha = alpha_series(order)
-    arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
-    return alpha.reciprocal() ** 2 * compose_rows(rows, arg) - 2
+    inv_sq = alpha_series(order).reciprocal() ** 2
+    arg = GenusSeries.gee(order, h_max) * inv_sq
+    return inv_sq * compose_rows(rows, arg) - 2
 
 
 def gamma_genus(h: int, order: int) -> QSeries:

@@ -1,8 +1,8 @@
-"""Independent routes to the free energies, kept out of the library path.
+"""Independent routes to library results, kept out of the library path.
 
 The library computes every F_h from the integer recurrence for rooted
-maps (``vtangle.series._f_rows``).  The oracles here share none of that
-code:
+maps (``vtangle.series._f_rows``).  The free-energy oracles here share
+none of that code:
 
 * the character sum over S_2n: the sum of N^(c(sigma) + c(sigma rho))
   over all sigma by the Frobenius formula, with Murnaghan-Nakayama
@@ -15,6 +15,12 @@ code:
 * the threshold coefficients F_h[2h] and F_h[2h+1], from hook characters
   on a full cycle, with raw permutation-pair scans that recompute them
   from the definition for small h.
+
+The diagram oracles are brute force: canonical forms minimised over the
+whole relabelling group, and the self-energy test that cuts every pair of
+face-sharing edges, against the census's rooted codes and the library's
+one-pass cut labels.  The group-table file reader and writer are test
+plumbing.
 """
 
 from __future__ import annotations
@@ -23,7 +29,12 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from pathlib import Path
 
+from vtangle.codes import _roots, tied_roots
+from vtangle.diagrams import LinkDiagram, TangleDiagram, _orbit_size
+from vtangle.groups import FiniteGroup
+from vtangle.perms import Perm, check_perm, compose, conjugate
 from vtangle.series import QSeries
 
 
@@ -370,3 +381,122 @@ def brute_force_next(h: int) -> Fraction:
             if cycle_type(tuple(tau[inv[i]] for i in range(n2))) == target:
                 hits += 1
     return Fraction(2 * hits, double_factorial(n2 - 1) * 2**n * factorial(n))
+
+
+# -- diagrams: brute-force canonical forms ------------------------------------
+
+
+def relabelling_elements(n2: int, fix_marked: bool = False):
+    """All relabellings of ``0..n2-1`` commuting with the block pairing.
+
+    Factorially large; meant for small-size oracles only.
+    """
+    nb = n2 // 2 - (1 if fix_marked else 0)
+    for bperm in itertools.permutations(range(nb)):
+        for flips in itertools.product((0, 1), repeat=nb):
+            g = [0] * n2
+            for b in range(nb):
+                g[2 * b] = 2 * bperm[b] + flips[b]
+                g[2 * b + 1] = 2 * bperm[b] + 1 - flips[b]
+            if fix_marked:
+                g[n2 - 2] = n2 - 2
+                g[n2 - 1] = n2 - 1
+            yield tuple(g)
+
+
+def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
+    """Minimum over the whole relabelling group; oracle for small ``n``."""
+    marked = isinstance(d, TangleDiagram)
+    return min(
+        conjugate(g, d.sigma)
+        for g in relabelling_elements(d.size, fix_marked=marked)
+    )
+
+
+def canonical_multiplicity(sigma: Perm, marked: bool = False) -> int:
+    """Number of roots whose trace reproduces ``sigma``, or 0 when ``sigma``
+    is not its own canonical code; ``sigma`` is not validated."""
+    tied = tied_roots(sigma, _roots(sigma, marked), marked)
+    return 0 if tied is None else len(tied)
+
+
+def is_canonical(sigma: Perm, marked: bool = False) -> bool:
+    """True when ``sigma`` equals its own canonical code."""
+    return canonical_multiplicity(check_perm(sigma), marked) > 0
+
+
+# -- diagrams: the pairwise self-energy test ------------------------------------
+#
+# The library finds 2-edge cuts from one pass of cut labels.  The oracle
+# tries every pair of edges that share a white and a black face (a face
+# walk crosses any cut an even number of times, so both edges of a 2-edge
+# cut lie on each face through either), cuts the pair by composing both
+# face permutations with its transposition, and checks connectivity.
+
+
+def _cycle_ids(p: Perm) -> list[int]:
+    ids = [-1] * len(p)
+    k = 0
+    for start in range(len(p)):
+        if ids[start] >= 0:
+            continue
+        x = start
+        while ids[x] < 0:
+            ids[x] = k
+            x = p[x]
+        k += 1
+    return ids
+
+
+def _same_cycle_pairs(d: LinkDiagram):
+    """Pairs of distinct edges lying in one cycle of sigma *and* one of tau."""
+    sid = _cycle_ids(d.sigma)
+    tid = _cycle_ids(d.tau)
+    for a in range(d.size):
+        for b in range(a + 1, d.size):
+            if sid[a] == sid[b] and tid[a] == tid[b]:
+                yield (a, b)
+
+
+def self_energy_pairwise(d: LinkDiagram) -> bool:
+    """``has_self_energy`` by the swap-and-orbit test on every face-sharing pair."""
+    for a, b in _same_cycle_pairs(d):
+        swap = list(range(d.size))
+        swap[a], swap[b] = b, a
+        cut_sigma = compose(d.sigma, tuple(swap))
+        cut_tau = compose(d.tau, tuple(swap))
+        if _orbit_size(cut_sigma, cut_tau, d.size) < d.size:
+            return True
+    return False
+
+
+# -- group multiplication-table files -------------------------------------------
+#
+# Plain text: '#' starts a comment, an optional "name <token>" line names
+# the group, and the remaining lines hold the table rows as integers.
+
+
+def load_group_table(path) -> FiniteGroup:
+    path = Path(path)
+    name = path.stem
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if body.startswith("name "):
+            name = body.split(None, 1)[1]
+            continue
+        try:
+            rows.append([int(tok) for tok in body.split()])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected integers, got {body!r}")
+    if not rows:
+        raise ValueError(f"{path}: no table rows found")
+    return FiniteGroup(name, rows)
+
+
+def save_group_table(group: FiniteGroup, path) -> None:
+    lines = [f"name {group.name}"]
+    lines += [" ".join(str(x) for x in row) for row in group.table]
+    Path(path).write_text("\n".join(lines) + "\n")

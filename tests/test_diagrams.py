@@ -17,6 +17,7 @@ from vtangle.diagrams import (
     close_tangle,
     close_tangle_counted,
     component_count,
+    cut_labels,
     edge_component_ids,
     edge_senses,
     genus,
@@ -29,8 +30,10 @@ from vtangle.diagrams import (
     tangle_type,
     transform,
 )
-from vtangle.census import canonical_form, enumerate_diagrams, relabelling_elements
+from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.perms import cycles
+
+from oracles import relabelling_elements, self_energy_pairwise
 
 EXAMPLE = LinkDiagram.from_code("4:3 4 1 6 2 7 0 5")
 
@@ -139,6 +142,53 @@ def test_relabelling_preserves_shape():
 def test_relabel_rejects_block_breakers():
     with pytest.raises(ValueError):
         relabel(EXAMPLE, (1, 2, 3, 0, 4, 5, 6, 7))
+
+
+# -- edge cuts ---------------------------------------------------------------
+
+
+def edge_cuts(sigma):
+    """Every edge cut of the crossing graph, found from its vertex sets: the
+    edges with one end in ``X`` and one outside, for every ``X``."""
+    ends = [(e // 2, sigma.index(e) // 2) for e in range(len(sigma))]
+    return {
+        sum(1 << e for e, (a, b) in enumerate(ends) if (x >> a & 1) != (x >> b & 1))
+        for x in range(1 << (len(sigma) // 2))
+    }
+
+
+def check_cut_labels(sigma):
+    labels = cut_labels(sigma)
+    cuts = edge_cuts(sigma)
+    for edges in range(1 << len(sigma)):
+        xor = 0
+        for e, lab in enumerate(labels):
+            if edges >> e & 1:
+                xor ^= lab
+        assert (xor == 0) == (edges in cuts), (sigma, bin(edges))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cut_labels_xor_to_zero_exactly_on_edge_cuts(n):
+    """Every edge set of every sigma in S_2n, disconnected ones included."""
+    for sigma in itertools.permutations(range(2 * n)):
+        check_cut_labels(sigma)
+
+
+def test_cut_labels_on_four_crossing_links():
+    for e in enumerate_diagrams(4, "link", no_self_energy=False):
+        check_cut_labels(e.diagram.sigma)
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("link", n) for n in range(1, 7)] + [("tangle", n) for n in range(1, 5)]
+)
+def test_self_energy_labels_match_the_pairwise_oracle(mode, n):
+    entries = list(enumerate_diagrams(n, mode, no_self_energy=False))
+    flagged = [has_self_energy(e.diagram) for e in entries]
+    assert flagged == [self_energy_pairwise(e.diagram) for e in entries]
+    if n > 1:
+        assert any(flagged) and not all(flagged)
 
 
 class TestTransforms:

@@ -7,29 +7,36 @@ few).  The surgery itself is pinned by round trips through the image site
 and by the quantities a flype can never change.
 """
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtangle.census import (
-    canonical_diagram,
-    canonical_form,
-    enumerate_diagrams,
-    relabelling_elements,
-)
+from vtangle.census import canonical_diagram, canonical_form, enumerate_diagrams
 from vtangle.diagrams import (
     LinkDiagram,
     TangleDiagram,
     component_count,
     genus,
+    cut_labels,
     has_self_energy,
     is_connected,
     tangle_type,
 )
-from vtangle.flypes import FlypeSite, apply_flype, flype_classes, flype_sites, image_site
-from vtangle.perms import conjugate
+from vtangle.flypes import (
+    COLORS,
+    FlypeSite,
+    _subtangle,
+    apply_flype,
+    flype_classes,
+    flype_sites,
+    image_site,
+)
+from vtangle.perms import conjugate, cycles, inverse
 from vtangle.series import gamma_genus, gamma_tilde
+
+from oracles import relabelling_elements
 
 # Flype classes of tangles per (crossings, genus); same provenance as the
 # census rows.  No such table exists for links.
@@ -99,6 +106,70 @@ def test_tangle_site_lists_are_equivariant(data):
         for s in flype_sites(d)
     }
     assert set(flype_sites(TangleDiagram(d.n, conjugate(g, d.sigma)))) == moved
+
+
+def face_frames(d, color):
+    """Every ``(alpha, mu, nu, gamma, delta)`` frame of one color that meets
+    the face conditions of :func:`flype_sites`, whatever its cut."""
+    s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
+    t_cycle = {e: cyc for cyc in cycles(t) for e in cyc}
+    s_cycle = {e: cyc for cyc in cycles(s) for e in cyc}
+    for alpha in range(d.size):
+        beta, mu, nu = s[alpha], t[alpha], alpha ^ 1
+        if len({alpha, beta, mu, nu}) < 4:
+            continue
+        for delta in t_cycle[alpha]:
+            for gamma in t_cycle[beta]:
+                if len({alpha, beta, mu, nu, gamma, delta}) == 6 and s_cycle[gamma] == s_cycle[delta]:
+                    yield alpha, mu, nu, gamma, delta
+
+
+@pytest.mark.parametrize(
+    "order,mode", [(n, "link") for n in range(3, 6)] + [(n, "tangle") for n in range(2, 5)]
+)
+def test_cut_label_prefilter_never_drops_a_site(census, order, mode):
+    """Every frame the breadth-first search accepts has four labels that
+    XOR to 0, so skipping the others before the search loses nothing."""
+    accepted = 0
+    for row in census(order, mode).values():
+        for e in row:
+            d = e.diagram
+            lab = cut_labels(d.sigma)
+            marked = d.n - 1 if mode == "tangle" else None
+            for color in COLORS:
+                s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
+                s_inv = inverse(s)
+                for alpha, mu, nu, gamma, delta in face_frames(d, color):
+                    args = (d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
+                    if _subtangle(*args) is not None:
+                        accepted += 1
+                        assert lab[mu] ^ lab[nu] ^ lab[gamma] ^ lab[delta] == 0
+    assert accepted > 0
+
+
+# sha256 of repr((code, color, alpha, beta, gamma, delta, sorted subtangle))
+# over flype_sites of the self-energy-free census stream, taken from the
+# search that ran the breadth-first search on every face-admissible frame.
+SITE_DIGESTS = {
+    ("link", 3): "04884276608c5283a32cd7afa9ec7c4408ffe788aa760740d2ee193e96aa919d",
+    ("link", 4): "ea82e00c6171ff354b33dadc3f113bdec7b01db4c4e3635d62f38f7578d60e47",
+    ("link", 5): "731850eb748c1e2e7c61004a74bf8f43da8508172cbb4db7f7ce7801c4f76a8e",
+    ("tangle", 2): "37f3e15d604b0fdaa28047ef62973c554a5be8afe77649b1b8718063d97a6056",
+    ("tangle", 3): "a6b3d74dc20d4349260678c1cb7f2d60d8988df33a8fb8554181b43b76775a48",
+    ("tangle", 4): "d0fc2bc03642aa00fd6a837f7e30eb19dc0f7149ad5985c1a19e9d33cc7fa6e9",
+}
+
+
+@pytest.mark.parametrize("mode,order", sorted(SITE_DIGESTS))
+def test_flype_site_lists_digest(census, mode, order):
+    entries = sorted((e for row in census(order, mode).values() for e in row),
+                     key=lambda e: e.diagram.sigma)
+    h = hashlib.sha256()
+    for e in entries:
+        for s in flype_sites(e.diagram):
+            key = (e.code, s.color, s.alpha, s.beta, s.gamma, s.delta, tuple(sorted(s.subtangle)))
+            h.update(repr(key).encode())
+    assert h.hexdigest() == SITE_DIGESTS[mode, order]
 
 
 # -- surgery -----------------------------------------------------------------
@@ -188,6 +259,16 @@ def test_tangle_five_census_and_classes_match_the_series(census):
     for h, row in by_genus.items():
         assert len(row) == gamma_genus(h, 5)[5]
         assert len(flype_classes(codes(census, 5, "tangle", h))) == gamma_tilde(h, 5)[5]
+
+
+@pytest.mark.slow
+def test_tangle_six_classes_match_the_series(census):
+    """Flype classes at six crossings, genus by genus, against
+    Gamma~_h[6] = 98 / 16158 / 100910 / 62072."""
+    by_genus = census(6, "tangle")
+    assert sorted(by_genus) == [0, 1, 2, 3]
+    got = [len(flype_classes(codes(census, 6, "tangle", h))) for h in range(4)]
+    assert got == [gamma_tilde(h, 6)[6] for h in range(4)] == [98, 16158, 100910, 62072]
 
 
 def test_every_member_of_a_merged_class_reaches_the_others(census):

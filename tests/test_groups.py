@@ -2,12 +2,9 @@
 
 import pytest
 
-from vtangle.groups import (
-    FiniteGroup,
-    builtin_groups,
-    load_group_table,
-    save_group_table,
-)
+from vtangle.groups import FiniteGroup, builtin_groups
+
+from oracles import load_group_table, save_group_table
 
 # A Latin square with identity 0 that fails associativity: (1*1)*2 = 2
 # but 1*(1*2) = 4.  The smallest such loop has five elements.

@@ -32,3 +32,22 @@ def test_deleted_modules_stay_deleted(module):
         importlib.import_module(module)
     targets = PROJECT.get("scripts", {}).values()
     assert not any(target.split(":")[0] == module for target in targets)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "vtangle.census:canonical_form_bruteforce",
+        "vtangle.census:relabelling_elements",
+        "vtangle.codes:canonical_multiplicity",
+        "vtangle.codes:is_canonical",
+        "vtangle.diagrams:_same_cycle_pairs",
+        "vtangle.diagrams:_cycle_ids",
+        "vtangle.groups:load_group_table",
+        "vtangle.groups:save_group_table",
+    ],
+)
+def test_moved_names_stay_out_of_the_library(name):
+    """Code whose only callers are tests lives in ``tests/oracles.py``."""
+    module, attr = name.split(":")
+    assert not hasattr(importlib.import_module(module), attr)
