@@ -2,9 +2,9 @@
 
 Coefficients are Python integers, exponents may be negative, and storage
 is a sparse map from exponent vectors to coefficients.  The module also
-provides determinants of polynomial matrices, by two independent methods
-so they can cross-check each other, and the unit normalization that makes
-polynomials defined "up to a sign and a monomial" comparable.
+provides exact determinants of polynomial matrices and the unit
+normalization that makes polynomials defined "up to a sign and a
+monomial" comparable.
 """
 
 from __future__ import annotations
@@ -263,24 +263,13 @@ def _matrix_variables(m: PolyMatrix):
     return variables
 
 
-def det(m: PolyMatrix, method: str = "cofactor") -> MultiLaurentPoly:
+def det(m: PolyMatrix) -> MultiLaurentPoly:
     """Exact determinant of a square polynomial matrix.
 
-    ``cofactor`` expands along the first remaining row, memoizing on the
+    Cofactor expansion along the first remaining row, memoizing on the
     set of surviving columns, which makes it O(n 2^n) instead of n!.
-    ``bareiss`` runs fraction-free elimination whose divisions are exact
-    in the polynomial ring.  Both are exact; keeping the two lets tests
-    compare completely independent routes.
     """
     variables = _matrix_variables(m)
-    if method == "cofactor":
-        return _det_cofactor(m, variables)
-    if method == "bareiss":
-        return _det_bareiss(m, variables)
-    raise ValueError(f"unknown determinant method {method!r}")
-
-
-def _det_cofactor(m, variables):
     n = len(m)
     cache = {}
 
@@ -307,72 +296,6 @@ def _det_cofactor(m, variables):
         return total
 
     return minor((1 << n) - 1)
-
-
-def _det_bareiss(m, variables):
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = MultiLaurentPoly.one(variables)
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiLaurentPoly.zero(variables)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = divexact(num, prev)
-            a[i][k] = MultiLaurentPoly.zero(variables)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
-def divexact(a: MultiLaurentPoly, b: MultiLaurentPoly) -> MultiLaurentPoly:
-    """Quotient a / b when the division is exact; error otherwise.
-
-    Laurent terms are first shifted to ordinary polynomials, then the
-    classic leading-term elimination runs under lexicographic order; over
-    the integers the leading coefficients must divide at every step.
-    """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return MultiLaurentPoly.zero(a.variables)
-    if a.variables != b.variables:
-        raise ValueError("variable mismatch in division")
-    k = len(a.variables)
-    # Shift each side by its own per-variable minimum.  Minima add up under
-    # multiplication, so an exact Laurent quotient becomes an ordinary
-    # polynomial quotient of ordinary polynomials.
-    shift_a = tuple(min(e[i] for e in a.terms) for i in range(k))
-    shift_b = tuple(min(e[i] for e in b.terms) for i in range(k))
-    num = {tuple(x - s for x, s in zip(e, shift_a)): c for e, c in a.terms.items()}
-    den = {tuple(x - s for x, s in zip(e, shift_b)): c for e, c in b.terms.items()}
-    lead_b = max(den)
-    quot = {}
-    while num:
-        lead_a = max(num)
-        exps = tuple(x - y for x, y in zip(lead_a, lead_b))
-        coeff, rem = divmod(num[lead_a], den[lead_b])
-        if rem or any(e < 0 for e in exps):
-            raise ValueError("polynomial division is not exact")
-        quot[exps] = coeff
-        for e, c in den.items():
-            key = tuple(x + y for x, y in zip(exps, e))
-            num[key] = num.get(key, 0) - coeff * c
-            if not num[key]:
-                del num[key]
-    unshift = tuple(x - y for x, y in zip(shift_a, shift_b))
-    return MultiLaurentPoly(
-        a.variables,
-        {tuple(x + s for x, s in zip(e, unshift)): c for e, c in quot.items()},
-    )
 
 
 def normalize_unit(p: MultiLaurentPoly) -> MultiLaurentPoly:

@@ -21,6 +21,12 @@ whole relabelling group, and the self-energy test that cuts every pair of
 face-sharing edges, against the census's rooted codes and the library's
 one-pass cut labels.  The group-table file reader and writer are test
 plumbing.
+
+The bracket oracles share no state-sum code with the library's frontier
+sweep: one sums over the 2^n splittings of the permutation encoding and
+counts loops as cycles, the other walks all 2^c states of a rotation
+system with a rollback union-find.  Fraction-free Bareiss elimination,
+with its exact polynomial division, checks the cofactor determinant.
 """
 
 from __future__ import annotations
@@ -34,7 +40,19 @@ from pathlib import Path
 from vtangle.codes import _roots, tied_roots
 from vtangle.diagrams import LinkDiagram, TangleDiagram, _orbit_size
 from vtangle.groups import FiniteGroup
-from vtangle.perms import Perm, check_perm, compose, conjugate
+from vtangle.invariants import (
+    BRACKET_VARIABLES,
+    E,
+    N,
+    S,
+    W,
+    _amono,
+    _delta_power,
+    _RotationDiagram,
+    _rotation_of,
+)
+from vtangle.laurent import MultiLaurentPoly
+from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count
 from vtangle.series import QSeries
 
 
@@ -500,3 +518,168 @@ def save_group_table(group: FiniteGroup, path) -> None:
     lines = [f"name {group.name}"]
     lines += [" ".join(str(x) for x in row) for row in group.table]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# -- the bracket: the permutation sum and the loop walk ---------------------------
+
+
+def bracket_by_permutations(d: LinkDiagram) -> MultiLaurentPoly:
+    """Kauffman bracket: sum over the 2^n crossing splittings.
+
+    Splitting a crossing the first way keeps the white-face transition,
+    the second way the black-face one; the loops of a splitting are the
+    cycles of the resulting permutation.
+    """
+    sigma, tau, n = d.sigma, d.tau, d.n
+    counts: dict[tuple[int, int], int] = {}
+    for mask in range(1 << n):
+        s = tuple(
+            tau[i] if (mask >> (i >> 1)) & 1 else sigma[i] for i in range(2 * n)
+        )
+        key = (n - 2 * mask.bit_count(), cycle_count(s))
+        counts[key] = counts.get(key, 0) + 1
+    total = MultiLaurentPoly.zero(BRACKET_VARIABLES)
+    for (apow, loops), mult in sorted(counts.items()):
+        total = total + _amono(mult, apow) * _delta_power(loops - 1)
+    return total
+
+
+def _loop_state_sum(rd: _RotationDiagram) -> MultiLaurentPoly:
+    """Bracket by splitting every crossing and counting closed loops.
+
+    Depth-first over the crossings with a rollback union-find, so shared
+    smoothing prefixes are merged once instead of once per state."""
+    c = rd.crossings
+    parent = list(range(4 * c))
+    size = [1] * (4 * c)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merges = 0
+
+    def union(x, y, stack) -> None:
+        nonlocal merges
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        stack.append(ry)
+        merges += 1
+
+    def rollback(stack, mark) -> None:
+        nonlocal merges
+        while len(stack) > mark:
+            ry = stack.pop()
+            size[find(ry)] -= size[ry]
+            parent[ry] = ry
+            merges -= 1
+
+    base: list = []
+    seen = set()
+    for s, t in rd.pair.items():
+        if s not in seen:
+            seen.add(s)
+            seen.add(t)
+            union(4 * s[0] + s[1], 4 * t[0] + t[1], base)
+
+    counts: dict[tuple[int, int], int] = {}
+    stack: list = []
+
+    def walk(v: int, apow: int) -> None:
+        if v == c:
+            key = (apow, 4 * c - merges)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        base_id = 4 * v
+        for delta, joins in ((1, ((W, N), (E, S))), (-1, ((W, S), (N, E)))):
+            mark = len(stack)
+            for x, y in joins:
+                union(base_id + x, base_id + y, stack)
+            walk(v + 1, apow + delta)
+            rollback(stack, mark)
+
+    walk(0, 0)
+    total = MultiLaurentPoly.zero(BRACKET_VARIABLES)
+    for (apow, loops), mult in sorted(counts.items()):
+        total = total + _amono(mult, apow) * _delta_power(loops - 1)
+    return total
+
+
+def bracket_by_loop_walk(d: LinkDiagram) -> MultiLaurentPoly:
+    """Independent bracket route through the rotation-system form."""
+    return _loop_state_sum(_rotation_of(d))
+
+
+# -- determinants: Bareiss elimination ----------------------------------------------
+
+
+def _det_bareiss(m, variables):
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = MultiLaurentPoly.one(variables)
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return MultiLaurentPoly.zero(variables)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = divexact(num, prev)
+            a[i][k] = MultiLaurentPoly.zero(variables)
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
+def divexact(a: MultiLaurentPoly, b: MultiLaurentPoly) -> MultiLaurentPoly:
+    """Quotient a / b when the division is exact; error otherwise.
+
+    Laurent terms are first shifted to ordinary polynomials, then the
+    classic leading-term elimination runs under lexicographic order; over
+    the integers the leading coefficients must divide at every step.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return MultiLaurentPoly.zero(a.variables)
+    if a.variables != b.variables:
+        raise ValueError("variable mismatch in division")
+    k = len(a.variables)
+    # Shift each side by its own per-variable minimum.  Minima add up under
+    # multiplication, so an exact Laurent quotient becomes an ordinary
+    # polynomial quotient of ordinary polynomials.
+    shift_a = tuple(min(e[i] for e in a.terms) for i in range(k))
+    shift_b = tuple(min(e[i] for e in b.terms) for i in range(k))
+    num = {tuple(x - s for x, s in zip(e, shift_a)): c for e, c in a.terms.items()}
+    den = {tuple(x - s for x, s in zip(e, shift_b)): c for e, c in b.terms.items()}
+    lead_b = max(den)
+    quot = {}
+    while num:
+        lead_a = max(num)
+        exps = tuple(x - y for x, y in zip(lead_a, lead_b))
+        coeff, rem = divmod(num[lead_a], den[lead_b])
+        if rem or any(e < 0 for e in exps):
+            raise ValueError("polynomial division is not exact")
+        quot[exps] = coeff
+        for e, c in den.items():
+            key = tuple(x + y for x, y in zip(exps, e))
+            num[key] = num.get(key, 0) - coeff * c
+            if not num[key]:
+                del num[key]
+    unshift = tuple(x - y for x, y in zip(shift_a, shift_b))
+    return MultiLaurentPoly(
+        a.variables,
+        {tuple(x + s for x, s in zip(e, unshift)): c for e, c in quot.items()},
+    )

@@ -1,16 +1,29 @@
-"""Checks in the invariants module: exceptions, not ``assert``, and the
-two bracket engines against each other."""
+"""Checks in the invariants module: exceptions, not ``assert``; the one
+frontier state sum against the permutation sum and the loop walk in
+``oracles``; pinned 2-cables; and the symmetries the records must have."""
+
+import functools
+import hashlib
+import itertools
 
 import pytest
 
 from vtangle.census import enumerate_diagrams
+from vtangle.diagrams import TangleDiagram, relabel, transform
+from vtangle.flypes import flype_classes
+from vtangle.groups import builtin_groups
 from vtangle.invariants import (
     _RotationDiagram,
+    _state_sum,
     bracket,
-    bracket_by_loop_walk,
+    cable_rotation,
+    cabled_jones,
     jones_span,
+    link_record,
 )
 from vtangle.laurent import MultiLaurentPoly
+
+from oracles import _loop_state_sum, bracket_by_permutations, relabelling_elements
 
 
 def test_jones_span_needs_exponents_agreeing_mod_4():
@@ -28,12 +41,145 @@ def test_rotation_diagram_checks_its_wiring():
 
 
 def test_bracket_engines_agree_on_every_small_link():
-    """The permutation state sum and the rotation-system loop walk share no
+    """The frontier state sum and the 2^n permutation sum share no
     state-sum code; they must agree on all 1,004 link diagrams with at most
-    five crossings, self-energies included."""
+    five crossings and all 790 tangle diagrams with at most three,
+    self-energies included."""
+    for mode, n_max, total in (("link", 5, 1004), ("tangle", 3, 790)):
+        seen = 0
+        for n in range(1, n_max + 1):
+            for e in enumerate_diagrams(n, mode, no_self_energy=False):
+                assert bracket(e.diagram) == bracket_by_permutations(e.diagram), e.code
+                seen += 1
+        assert seen == total, mode
+
+
+def test_state_sum_matches_the_loop_walk_on_cables():
+    """The 2-cable of every link diagram with at most three crossings,
+    self-energies included: up to 18 cable crossings, 2^18 loop-walk states."""
     seen = 0
-    for n in range(1, 6):
+    for n in range(1, 4):
         for e in enumerate_diagrams(n, "link", no_self_energy=False):
-            assert bracket(e.diagram) == bracket_by_loop_walk(e.diagram), e.code
+            rd = cable_rotation(e.diagram)
+            assert _state_sum(rd) == _loop_state_sum(rd), e.code
             seen += 1
-    assert seen == 1004
+    assert seen == 27
+
+
+# sha256 of str(cabled_jones(d)) for every self-energy-free link diagram with
+# at most four crossings, taken from the loop walk before the frontier state
+# sum replaced it.
+CABLED_JONES_PINS = {
+    "1:0 1": "e527906a9822394d9aea5b0c2da22d94b7f87222e633a929a2940af51f775ca1",
+    "1:1 0": "e527906a9822394d9aea5b0c2da22d94b7f87222e633a929a2940af51f775ca1",
+    "2:2 3 0 1": "a0cbc20c4239d2a23b45a6ba6f7ba7a669a78494ef72f83e9f84466f64a8c3ab",
+    "2:2 3 1 0": "6a031b7c9efda479fb56da334fb949cdbc9bcdd594c802045fa098dbb5edcf85",
+    "3:2 3 4 5 0 1": "778e4839a98143238842e1e60e0eaf81405832cf6b9326778ff2e49b4ebf8679",
+    "3:2 3 4 5 1 0": "0076adaaddde663aaaf3cc12e30def332b565714ef08a7fcccf6c1d92f0ae979",
+    "3:2 4 0 5 1 3": "e66bd4b8fd2a786464ffc3fd078458838b17a61870f58c4ac74fe91dfe788556",
+    "3:2 4 0 5 3 1": "efbe7af1295f532d668125cbbb1d2d5b1c2ee6de2854161ee104fcd37f6ee1eb",
+    "3:2 4 1 5 3 0": "92e7ec047ca56ef3cef166c309039bef76426da5ca6617c6e4ee8f894182e6dd",
+    "3:2 4 5 1 3 0": "b7b64aeb50e4651479d0ed653d6511b72bdcc770e0c07afc353bf29deafaf761",
+    "4:2 3 4 5 6 7 0 1": "2e9b39cf71b7712d1c82bf897239401117c53d552d14129d9c56ab1643143ec3",
+    "4:2 3 4 5 6 7 1 0": "5909407441a7b4c7d005398b950e1de384b6990988ba7b50a99bfb1e030c0e06",
+    "4:2 3 4 6 0 7 1 5": "755303e607900634ccf7921233ce744f089e60a9e2c59c9bb208492f58ff2a35",
+    "4:2 3 4 6 0 7 5 1": "03b5fe79ca39e76169f327c15a848e30837b6dfc73b56d96e1fb346de6491f61",
+    "4:2 3 4 6 1 7 0 5": "ffe97fd9c54224f23a9110a10760e1f65aeb0472a44f176cef9b42acccbd1fe3",
+    "4:2 3 4 6 1 7 5 0": "19408b9854b4ef95f2d4484f1203e99137e45aa45987d0eb94d416cb9fed4a4d",
+    "4:2 3 4 6 7 0 5 1": "71554250231e6ae26f5d0463a792db852a2f3ff8d57054157c5829db1a0480b3",
+    "4:2 3 4 6 7 1 5 0": "bb207ef04787ea95488f77bca19e133eb10db8f606cdbf9f7ee2d05522ee5661",
+    "4:2 4 0 6 1 7 3 5": "caaa1184fedfa090ba7b4761491e5b04bd472d48e8ca8bf712d0ede5c848a446",
+    "4:2 4 0 6 1 7 5 3": "66b843a52eb342a48c4f0869e7b5099703c3f561e34baa2f13f7fe2dbbc264d6",
+    "4:2 4 0 6 3 7 1 5": "1c9c6678d826f866084b7b5778a7ff7b10f5adebcb0f5585497f7408956f9fd7",
+    "4:2 4 0 6 3 7 5 1": "0b8b38cece6435319a68379335f5a54ba10b928150055505b899e636d5041b51",
+    "4:2 4 0 6 7 1 5 3": "e335aa4a6c663e8aa994e280e72b4570f7e0573e9926e9bd76d5afa44056ee4f",
+    "4:2 4 0 6 7 3 5 1": "3d35e91fb6668f5c69c5ed3b909f42b1e871e0bc6814865330f506affb530d4d",
+    "4:2 4 1 6 0 7 5 3": "d7bc5d34225bd6f10659b991f0a76aedb98e9689e2fbf91655dc63c5a42a8d16",
+    "4:2 4 1 6 3 7 5 0": "465ff2928eead9c96011c97242acae65e687d9a2dd16a628a579344ae7089055",
+    "4:2 4 1 6 7 0 5 3": "66b843a52eb342a48c4f0869e7b5099703c3f561e34baa2f13f7fe2dbbc264d6",
+    "4:2 4 1 6 7 3 5 0": "9616e6680b49ceb5a5c5bf37ae25db8d9839d87fd70bcccdcb8a16721edd268f",
+    "4:2 4 6 1 7 0 5 3": "c3a9adaee3303e0b7c19c8b244edc5a655ac6c2971be9442c9848227a5535058",
+    "4:2 4 6 1 7 3 5 0": "578b82a70d1a4f31ac416cb2c11b5a3fb64b4d824bb2d8aeb7480b35f4b31d5c",
+}
+
+
+def test_cabled_jones_is_pinned_on_small_links():
+    got = {
+        e.code: hashlib.sha256(str(cabled_jones(e.diagram)).encode()).hexdigest()
+        for n in range(1, 5)
+        for e in enumerate_diagrams(n, "link")
+    }
+    assert got == CABLED_JONES_PINS
+
+
+def _invert_a(p: MultiLaurentPoly) -> MultiLaurentPoly:
+    return MultiLaurentPoly(p.variables, {(-e,): c for (e,), c in p.terms.items()})
+
+
+def test_bracket_under_the_discrete_transforms():
+    """Mirror and over/under exchange send a to a^-1; the flip does both and
+    leaves the bracket alone.  All 134 link diagrams with at most four
+    crossings, self-energies included."""
+    seen = 0
+    for n in range(1, 5):
+        for e in enumerate_diagrams(n, "link", no_self_energy=False):
+            d = e.diagram
+            value = bracket(d)
+            assert bracket(transform(d, "mirror")) == _invert_a(value), e.code
+            assert bracket(transform(d, "over_under")) == _invert_a(value), e.code
+            assert bracket(transform(d, "flip")) == value, e.code
+            seen += 1
+    assert seen == 134
+
+
+def _tangle_classes(census, n_max):
+    for n in range(1, n_max + 1):
+        for entries in census(n, "tangle").values():
+            yield from flype_classes([e.code for e in entries])
+
+
+@functools.cache
+def _tangle_record(code: str):
+    return link_record(TangleDiagram.from_code(code), include_cabled=True)
+
+
+def _assert_keys_constant_on_classes(classes) -> tuple[int, int]:
+    total = merged = 0
+    for c in classes:
+        keys = {_tangle_record(code).separation_key() for code in c.members}
+        assert len(keys) == 1, c.representative
+        total += 1
+        merged += c.size > 1
+    return total, merged
+
+
+def test_separation_key_is_constant_on_tangle_flype_classes(census):
+    """Flypes preserve every field of the key, the 2-cable included: the
+    90 tangle classes with at most three crossings, 4 of them merged."""
+    assert _assert_keys_constant_on_classes(_tangle_classes(census, 3)) == (90, 4)
+
+
+@pytest.mark.slow
+def test_separation_key_is_constant_on_tangle_four_classes(census):
+    """The same over the 940 tangle classes with at most four crossings,
+    40 of them merged."""
+    assert _assert_keys_constant_on_classes(_tangle_classes(census, 4)) == (940, 40)
+
+
+def test_link_record_is_invariant_under_relabelling(census):
+    """Every self-energy-free diagram with at most three crossings: links
+    against every fifth relabelling, with morphism counts; tangles, whose
+    records cost more, against the one that reverses the free blocks and
+    flips each of them."""
+    groups = tuple(builtin_groups().values())[:2]
+    for n in range(1, 4):
+        for e in itertools.chain.from_iterable(census(n, "link").values()):
+            d = e.diagram
+            record = link_record(d, groups, include_cabled=True)
+            for g in list(relabelling_elements(d.size))[1::5]:
+                image = link_record(relabel(d, g), groups, include_cabled=True)
+                assert image == record, (e.code, g)
+        for e in itertools.chain.from_iterable(census(n, "tangle").values()):
+            g = list(relabelling_elements(e.diagram.size, fix_marked=True))[-1]
+            image = link_record(relabel(e.diagram, g), include_cabled=True)
+            assert image == _tangle_record(e.code), e.code
