@@ -1,12 +1,13 @@
 """Finite groups as validated multiplication tables.
 
-Morphism counting needs nothing beyond fast products and inverses, so a
-group here is just its Cayley table over elements ``0..order-1``.  The
-axioms are checked at construction time: rows and columns must be
-permutations, an identity must exist, and multiplication must associate.
-The associativity check is vectorized so tables of order a few hundred
-(the sizes separation occasionally calls for) load in well under a
-second.
+Morphism counting needs products, inverses and the orbits of subgroups
+acting by conjugation.  The orbits follow from the other two, on demand
+and uncached, so a group here is just its Cayley table over elements
+``0..order-1``.  The axioms are checked at construction time: rows and
+columns must be permutations, an identity must exist, and multiplication
+must associate.  The associativity check is vectorized so tables of
+order a few hundred (the sizes separation occasionally calls for) load in
+well under a second.
 """
 
 from __future__ import annotations
@@ -62,6 +63,25 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
+
+    def conjugation_orbits(self, sub) -> list[tuple[int, int, frozenset[int]]]:
+        """The orbits of the elements under conjugation by the subgroup `sub`.
+
+        One triple per orbit, in order of least element: that element, the
+        orbit's size, and the elements of `sub` commuting with it (its
+        stabiliser).  With `sub` the whole group the orbits are the
+        conjugacy classes.  `sub` must be a subgroup."""
+        table, inv = self.table, self.inverse
+        seen = set()
+        out = []
+        for x in range(self.order):
+            if x in seen:
+                continue
+            orbit = {table[table[h][x]][inv[h]] for h in sub}
+            seen |= orbit
+            fixing = frozenset(h for h in sub if table[h][x] == table[x][h])
+            out.append((x, len(orbit), fixing))
+        return out
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"

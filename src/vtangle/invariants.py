@@ -111,8 +111,11 @@ def linking_profile(d: LinkDiagram) -> tuple[int, ...]:
 
 def jones(d: LinkDiagram) -> MultiLaurentPoly:
     """(-a)^(-3t) times the bracket, t the total self-twist."""
-    t = twist_number(d)
-    return _amono(-1 if t % 2 else 1, -3 * t) * bracket(d)
+    return _twist_normalised(bracket(d), twist_number(d))
+
+
+def _twist_normalised(b: MultiLaurentPoly, t: int) -> MultiLaurentPoly:
+    return _amono(-1 if t % 2 else 1, -3 * t) * b
 
 
 def jones_span(p: MultiLaurentPoly) -> int:
@@ -267,6 +270,17 @@ def group_morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
     the incoming under arc by the over arc raised to the crossing sign.
     The count does not depend on the orientation (the relation set is
     equivalent under reversal), which is checked on the first component.
+
+    The search branches on one arc at a time, and on one value per orbit
+    of a subgroup H acting by conjugation, weighting what that value
+    extends to by the orbit's size.  H is the centraliser of the values
+    branched on so far (at the top, the whole group, whose orbits are the
+    conjugacy classes).  The weighting is exact: conjugation by h is an
+    automorphism, so it sends solutions to solutions; an h in H fixes
+    every value already assigned, since those are words in the branched
+    ones; so f -> h f h^-1 is a bijection from the solutions with
+    f(arc) = x onto those with f(arc) = h x h^-1.  Below a value x the
+    search goes on with H ∩ C(x).
     """
     count = _morphism_count(od, group)
     if od.bits:
@@ -329,21 +343,25 @@ def _morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
                 best, score = arc, near
         return best
 
-    def search() -> int:
+    orbits: dict = {}
+
+    def search(sub: frozenset) -> int:
         arc = next_arc()
         if arc < 0:
             return 1
+        if sub not in orbits:
+            orbits[sub] = group.conjugation_orbits(sub)
         total = 0
-        for val in range(group.order):
+        for val, size, fixing in orbits[sub]:
             trail = [arc]
             assign[arc] = val
             if propagate(trail):
-                total += search()
+                total += size * search(fixing)
             for x in trail:
                 assign[x] = -1
         return total
 
-    return search()
+    return search(frozenset(range(group.order)))
 
 
 # -- rotation-system diagrams, the state sum and 2-cabling --------------------
@@ -679,15 +697,16 @@ def link_record(
             "closures": tangle_closure_strings(d),
             "boundary": boundary_record(d),
         }
+    b, t = bracket(d), twist_number(d)
     return InvariantRecord(
         n=d.n,
         genus=genus(d),
         components=component_count(d),
         symmetry=symmetry_order(d),
-        twist=twist_number(d),
+        twist=t,
         linking=linking_profile(d),
-        bracket=str(bracket(d)),
-        jones=str(jones(d)),
+        bracket=str(b),
+        jones=str(_twist_normalised(b, t)),
         alexander=alexander_canonical(d),
         determinant=determinant_invariant(d),
         morphisms=morphs,

@@ -22,6 +22,10 @@ face-sharing edges, against the census's rooted codes and the library's
 one-pass cut labels.  The group-table file reader and writer are test
 plumbing.
 
+The morphism count is brute force too: every labelling of the arcs by
+permutation tuples, each crossing relation checked by composing them,
+with no Cayley table and no search.
+
 The bracket oracles share no state-sum code with the library's frontier
 sweep: one sums over the 2^n splittings of the permutation encoding and
 counts loops as cycles, the other walks all 2^c states of a rotation
@@ -38,7 +42,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from vtangle.codes import _roots, tied_roots
-from vtangle.diagrams import LinkDiagram, TangleDiagram, _orbit_size
+from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram, _orbit_size
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
     BRACKET_VARIABLES,
@@ -47,12 +51,13 @@ from vtangle.invariants import (
     S,
     W,
     _amono,
+    _crossing_frames,
     _delta_power,
     _RotationDiagram,
     _rotation_of,
 )
 from vtangle.laurent import MultiLaurentPoly
-from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count
+from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse
 from vtangle.series import QSeries
 
 
@@ -518,6 +523,31 @@ def save_group_table(group: FiniteGroup, path) -> None:
     lines = [f"name {group.name}"]
     lines += [" ".join(str(x) for x in row) for row in group.table]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# -- morphism counts by trying every labelling -------------------------------------
+
+
+def morphism_count_bruteforce(od: OrientedDiagram, perms) -> int:
+    """Number of labellings of the arcs by the permutations `perms`, a
+    group, that satisfy every crossing relation: the outgoing under arc
+    is the incoming one conjugated by the over arc to the crossing sign.
+    All |G|^n labellings are tried."""
+    elems = [tuple(p) for p in perms]
+    relations = [
+        (b_in // 2, a_in // 2, a_out // 2, eps)
+        for b_in, _, a_in, a_out, eps in _crossing_frames(od)
+    ]
+    count = 0
+    for f in itertools.product(elems, repeat=od.diagram.n):
+        for b, ai, ao, eps in relations:
+            w = f[b] if eps > 0 else inverse(f[b])
+            # f(ao) = w f(ai) w^-1, multiplied through by w on the right.
+            if compose(f[ao], w) != compose(w, f[ai]):
+                break
+        else:
+            count += 1
+    return count
 
 
 # -- the bracket: the permutation sum and the loop walk ---------------------------

@@ -111,3 +111,42 @@ def test_table_file_bad_tokens(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no table rows"):
         load_group_table(empty)
+
+
+def test_conjugation_orbits_by_the_whole_group_are_the_classes():
+    """The class equation: with the whole group acting, the orbit sizes are
+    the class sizes and sum to the order, and every stabiliser is the
+    centraliser, of order |G| / orbit size."""
+    want = {
+        "S3": [1, 2, 3],
+        "A4": [1, 3, 4, 4],
+        "S4": [1, 3, 6, 6, 8],
+        "A5": [1, 12, 12, 15, 20],
+    }
+    for name, g in builtin_groups().items():
+        everything = frozenset(range(g.order))
+        orbits = g.conjugation_orbits(everything)
+        sizes = sorted(size for _, size, _ in orbits)
+        if name in want:
+            assert sizes == want[name], name
+        assert sum(sizes) == g.order, name
+        for x, size, fixing in orbits:
+            assert fixing == {h for h in everything if g.mul(h, x) == g.mul(x, h)}
+            assert size * len(fixing) == g.order, (name, x)
+    assert len(builtin_groups()["A5xZ2"].conjugation_orbits(frozenset(range(120)))) == 10
+
+
+def test_conjugation_orbits_by_a_subgroup():
+    """Orbits under a centraliser partition the group, each headed by its
+    least element, and obey orbit-stabiliser within the subgroup."""
+    for g in builtin_groups().values():
+        everything = frozenset(range(g.order))
+        for _, _, sub in g.conjugation_orbits(everything):
+            orbits = g.conjugation_orbits(sub)
+            covered = []
+            for x, size, fixing in orbits:
+                orbit = {g.mul(g.mul(h, x), g.inverse[h]) for h in sub}
+                assert min(orbit) == x and len(orbit) == size
+                assert fixing <= sub and size * len(fixing) == len(sub)
+                covered += orbit
+            assert sorted(covered) == list(range(g.order)), g.name

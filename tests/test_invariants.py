@@ -1,29 +1,38 @@
 """Checks in the invariants module: exceptions, not ``assert``; the one
 frontier state sum against the permutation sum and the loop walk in
-``oracles``; pinned 2-cables; and the symmetries the records must have."""
+``oracles``; pinned 2-cables; the morphism search against brute force and
+pinned counts; and the symmetries the records must have."""
 
 import functools
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from vtangle.census import enumerate_diagrams
 from vtangle.diagrams import TangleDiagram, relabel, transform
 from vtangle.flypes import flype_classes
-from vtangle.groups import builtin_groups
+from vtangle.groups import FiniteGroup, builtin_groups
 from vtangle.invariants import (
+    _reference_orientation,
     _RotationDiagram,
     _state_sum,
     bracket,
     cable_rotation,
     cabled_jones,
+    group_morphism_count,
     jones_span,
     link_record,
 )
 from vtangle.laurent import MultiLaurentPoly
 
-from oracles import _loop_state_sum, bracket_by_permutations, relabelling_elements
+from oracles import (
+    _loop_state_sum,
+    bracket_by_permutations,
+    morphism_count_bruteforce,
+    relabelling_elements,
+)
 
 
 def test_jones_span_needs_exponents_agreeing_mod_4():
@@ -112,6 +121,75 @@ def test_cabled_jones_is_pinned_on_small_links():
     assert got == CABLED_JONES_PINS
 
 
+def _relabelled(group: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """The same group with its elements renamed by a random bijection."""
+    name = list(range(group.order))
+    rng.shuffle(name)
+    table = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            table[name[a]][name[b]] = name[group.table[a][b]]
+    return FiniteGroup(group.name, table)
+
+
+def test_morphism_counts_match_the_bruteforce_oracle():
+    """The orbit-weighted search against trying every labelling by
+    permutation tuples, for S3, A4, S4, D4 and Z3, each as built and with
+    its element labels shuffled: all 27 link diagrams with at most three
+    crossings and all 84 tangle diagrams with at most two, self-energies
+    included."""
+    rng = random.Random(20030319)
+    square = [tuple((i + r) % 4 for i in range(4)) for r in range(4)]
+    square += [tuple((r - i) % 4 for i in range(4)) for r in range(4)]
+    cases = (
+        (FiniteGroup.symmetric(3), list(itertools.permutations(range(3)))),
+        (
+            FiniteGroup.alternating(4),
+            [
+                p
+                for p in itertools.permutations(range(4))
+                if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0
+            ],
+        ),
+        (FiniteGroup.symmetric(4), list(itertools.permutations(range(4)))),
+        (FiniteGroup.dihedral(4), square),
+        (FiniteGroup.cyclic(3), [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    )
+    diagrams = [
+        e.diagram
+        for mode, n_max in (("link", 3), ("tangle", 2))
+        for n in range(1, n_max + 1)
+        for e in enumerate_diagrams(n, mode, no_self_energy=False)
+    ]
+    assert len(diagrams) == 27 + 84
+    for group, perms in cases:
+        assert len(set(perms)) == group.order, group.name
+        shuffled = _relabelled(group, rng)
+        for d in diagrams:
+            od = _reference_orientation(d)
+            want = morphism_count_bruteforce(od, perms)
+            assert group_morphism_count(od, group) == want, (group.name, d)
+            assert group_morphism_count(od, shuffled) == want, (group.name, d)
+
+
+# sha256 of repr() of the sorted (code, group name, count) triples for every
+# self-energy-free link diagram with at most four crossings and every
+# built-in group, taken from the search that branched on every element
+# before orbit branching replaced it.
+MORPHISM_COUNTS_PIN = "1f9983d38b4437ae76e845036b0a05ff317a02f42d7a3d54eaebaca07537f6fd"
+
+
+def test_morphism_counts_are_pinned_on_small_links():
+    triples = sorted(
+        (e.code, g.name, group_morphism_count(_reference_orientation(e.diagram), g))
+        for n in range(1, 5)
+        for e in enumerate_diagrams(n, "link")
+        for g in builtin_groups().values()
+    )
+    assert len(triples) == 30 * 5
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == MORPHISM_COUNTS_PIN
+
+
 def _invert_a(p: MultiLaurentPoly) -> MultiLaurentPoly:
     return MultiLaurentPoly(p.variables, {(-e,): c for (e,), c in p.terms.items()})
 
@@ -168,10 +246,10 @@ def test_separation_key_is_constant_on_tangle_four_classes(census):
 
 def test_link_record_is_invariant_under_relabelling(census):
     """Every self-energy-free diagram with at most three crossings: links
-    against every fifth relabelling, with morphism counts; tangles, whose
-    records cost more, against the one that reverses the free blocks and
-    flips each of them."""
-    groups = tuple(builtin_groups().values())[:2]
+    against every fifth relabelling, with morphism counts into all five
+    built-in groups; tangles, whose records cost more, against the one
+    that reverses the free blocks and flips each of them."""
+    groups = tuple(builtin_groups().values())
     for n in range(1, 4):
         for e in itertools.chain.from_iterable(census(n, "link").values()):
             d = e.diagram

@@ -47,6 +47,7 @@ def test_deleted_modules_stay_deleted(module):
         "vtangle.groups:save_group_table",
         "vtangle.invariants:bracket_by_loop_walk",
         "vtangle.invariants:_loop_state_sum",
+        "vtangle.invariants:morphism_count_bruteforce",
         "vtangle.laurent:divexact",
         "vtangle.laurent:_det_bareiss",
     ],
