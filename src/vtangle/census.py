@@ -9,13 +9,19 @@ root 0 (new blocks must appear as the lowest unused even label).
 
 The search is orderly (Read-Faradzev; McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): canonicity is tested on every
-prefix, not on finished assignments.  Each node carries the roots whose
-partial trace still equals the prefix as far as both are defined.  After
-every assignment their traces are re-read: a root whose trace is smaller
+prefix, not on finished assignments.  Each node carries the scan states
+(:func:`~vtangle.codes.root_state`) of the roots whose partial trace still
+equals the prefix as far as both are defined; each state waits on the
+label whose image it needs next.  After an assignment only the states
+waiting on that label are resumed, from where they stopped, and the
+others are passed down unchanged: a resumed root whose trace is smaller
 cuts the branch, a larger one leaves the list for the whole subtree, an
-equal one stays.  At a leaf every slot is defined, so every leaf is
-canonical, each equivalence class surfaces exactly once, and the symmetry
-order is 1 plus the number of roots still tied.
+equal one stays.  A root whose scan runs dry before the last slot cuts
+the branch as well: its labels form a closed piece, so the prefix has no
+connected completion (proof in :func:`_advance`).  At a leaf every slot is
+defined, so every leaf is canonical, each equivalence class surfaces
+exactly once, and the symmetry order is 1 plus the number of roots still
+tied.
 
 A tangle scan can stall on pieces that hang off the marked crossing; the
 generator then lets the marked values open the next block, mirroring the
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .perms import Perm
-from .codes import canonical_code, tied_roots
+from .codes import LARGER, SMALLER, canonical_code, resume, root_state
 from .diagrams import (
     LinkDiagram,
     TangleDiagram,
@@ -66,19 +72,51 @@ def canonical_diagram(d: LinkDiagram) -> LinkDiagram:
 # -- generation --------------------------------------------------------------
 
 
+def _advance(sigma: list[int], tied: list) -> list | None:
+    """The scan states of the tied roots after an assignment to ``sigma``,
+    or None when the branch is cut.
+
+    Only the states waiting on a label whose image is now assigned are
+    resumed; the others are passed on as they are.  A resumed root whose
+    trace is smaller cuts the branch, a larger one leaves the list, an
+    equal one stays with its new state.
+
+    A root whose scan runs dry before the last slot cuts the branch too.
+    Its discovered labels (the marked block included) are closed under the
+    block pairing, and every one of them has its image assigned and inside
+    the set.  Since ``sigma`` is injective the set is mapped onto itself,
+    by ``sigma`` and by ``tau(a) = sigma(a ^ 1)``, in every completion:
+    it is a union of crossings that misses at least one.  So no completion
+    is connected, and the census yields only connected leaves.
+    """
+    n2 = len(sigma)
+    still = []
+    for st in tied:
+        if sigma[st[0]] >= 0:
+            st = resume(sigma, sigma, st)
+            if st is SMALLER:
+                return None
+            if st is LARGER:
+                continue
+            if st[0] < 0 and st[1] < n2:
+                return None
+        still.append(st)
+    return still
+
+
 def _link_leaves(n2: int):
     """``(sigma, symmetry)`` for the connected canonical link sigma, in order.
 
-    ``tied`` holds the roots whose partial trace still equals the prefix;
-    a branch is cut as soon as one of them is smaller (see
-    :func:`~vtangle.codes.tied_roots`).  A stall (no block was forced into
+    ``tied`` holds the scan states of the roots whose partial trace still
+    equals the prefix; a branch is cut as soon as one of them is smaller
+    (see :func:`_advance`).  A stall (no block was forced into
     the next slot pair) means the prefix is a sealed, disconnected piece,
     so that branch is cut too.
     """
     sigma = [-1] * n2
     used = [False] * n2
 
-    def rec(p: int, m: int, tied: list[int]):
+    def rec(p: int, m: int, tied: list):
         if p == n2:
             yield tuple(sigma), 1 + len(tied)
             return
@@ -88,14 +126,14 @@ def _link_leaves(n2: int):
             if used[v]:
                 continue
             sigma[p] = v
-            still = tied_roots(sigma, tied)
+            still = _advance(sigma, tied)
             if still is not None:
                 used[v] = True
                 yield from rec(p + 1, m + 2 if v == m + 1 else m, still)
                 used[v] = False
         sigma[p] = -1
 
-    yield from rec(0, 1, list(range(1, n2)))
+    yield from rec(0, 1, [root_state(n2, r) for r in range(1, n2)])
 
 
 def _tangle_leaves(n2: int):
@@ -112,15 +150,16 @@ def _tangle_leaves(n2: int):
     a sealed piece nothing later can reach.  Leftover values go to the
     remaining marked slots at the end.  Every leaf is connected.
 
-    As for links, every assignment (marked slots included) re-reads the
-    traces of the ``tied`` roots and cuts the branch at the first smaller
-    one.
+    As for links, every assignment resumes the ``tied`` states waiting on
+    its label and cuts the branch at the first smaller one; that includes
+    the marked slots filled at a stall and at the leaf, where the states
+    waiting on either marked label are resumed together.
     """
     top = n2 - 2
     sigma = [-1] * n2
     used = [False] * n2
 
-    def rec(p: int, m: int, pending: tuple[int, ...], touched: bool, tied: list[int]):
+    def rec(p: int, m: int, pending: tuple[int, ...], touched: bool, tied: list):
         if p == top:
             rest = [v for v in range(n2) if not used[v]]
             if len(rest) != len(pending):
@@ -130,7 +169,7 @@ def _tangle_leaves(n2: int):
                     sigma[q] = v
                 if sigma[top] >= top and sigma[top + 1] >= top:
                     continue  # marked crossing sealed off from the rest
-                still = tied_roots(sigma, tied, True)
+                still = _advance(sigma, tied)
                 if still is not None:
                     yield tuple(sigma), 1 + len(still)
             for q in pending:
@@ -141,7 +180,7 @@ def _tangle_leaves(n2: int):
                 return
             q, tail = pending[0], pending[1:]
             sigma[q] = p
-            still = tied_roots(sigma, tied, True)
+            still = _advance(sigma, tied)
             if still is not None:
                 used[p] = True
                 yield from rec(p, p + 1, tail, touched, still)  # opens block {p, p+1}
@@ -150,7 +189,7 @@ def _tangle_leaves(n2: int):
             old += [v for v in (top, top + 1) if not used[v]]
             for v in old:
                 sigma[q] = v
-                still = tied_roots(sigma, tied, True)
+                still = _advance(sigma, tied)
                 if still is not None:
                     used[v] = True
                     yield from rec(p, m, tail, touched, still)  # stall passes along
@@ -163,7 +202,7 @@ def _tangle_leaves(n2: int):
         choices += [v for v in (top, top + 1) if not used[v]]
         for v in choices:
             sigma[p] = v
-            still = tied_roots(sigma, tied, True)
+            still = _advance(sigma, tied)
             if still is not None:
                 used[v] = True
                 opens = v == m + 1 and v < top
@@ -171,7 +210,7 @@ def _tangle_leaves(n2: int):
                 used[v] = False
         sigma[p] = -1
 
-    yield from rec(0, 1, (top, top + 1), False, list(range(1, top)))
+    yield from rec(0, 1, (top, top + 1), False, [root_state(n2, r, True) for r in range(1, top)])
 
 
 @dataclass(frozen=True)
@@ -190,9 +229,10 @@ def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = Tru
     """Stream of connected canonical diagrams with ``n`` crossings, one per class.
 
     For tangles ``n`` counts *real* crossings (the marked one is extra).
-    Emission order is sorted by code.  Each entry carries genus, component
-    count and the symmetry order (for tangles the stabilizer is checked to
-    be trivial, so symmetry is always 1 there).
+    Entries come out sorted by the ``sigma`` tuple, which is not the
+    string order of their codes once labels reach two digits.  Each entry
+    carries genus, component count and the symmetry order (for tangles the
+    stabilizer is checked to be trivial, so symmetry is always 1 there).
     """
     if mode not in ("link", "tangle"):
         raise ValueError(f"mode must be 'link' or 'tangle': {mode!r}")

@@ -19,7 +19,9 @@ none of that code:
 The diagram oracles are brute force: canonical forms minimised over the
 whole relabelling group, and the self-energy test that cuts every pair of
 face-sharing edges, against the census's rooted codes and the library's
-one-pass cut labels.  The group-table file reader and writer are test
+one-pass cut labels.  The census's resumed root scans are checked against
+a generator scan that reads every trace again from slot 0 on each prefix
+(``tied_roots``).  The group-table file reader and writer are test
 plumbing.
 
 The morphism count is brute force too: every labelling of the arcs by
@@ -41,7 +43,7 @@ from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
 
-from vtangle.codes import _roots, tied_roots
+from vtangle.codes import _roots
 from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram, _orbit_size
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
@@ -434,6 +436,105 @@ def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
         conjugate(g, d.sigma)
         for g in relabelling_elements(d.size, fix_marked=marked)
     )
+
+
+# The rooted-trace scan as a generator that reads a root's trace from slot
+# 0 on every call, with the tie-break search inline.  It shares no code
+# with the resumable states of ``vtangle.codes``, which the census keeps
+# from one prefix to the next.
+
+
+def trace(sigma, root, marked):
+    """Lazy code of the trace at ``root``: an iterator over its slots.
+
+    On a partial ``sigma`` it stops at the first label whose image is -1;
+    where the scan runs dry it yields the smallest continuation over every
+    leftover label opened next, partial candidates included.
+    """
+    n2 = len(sigma)
+    g = [-1] * n2
+    occ = [-1] * n2
+    pending = []
+    if marked:
+        for t in (n2 - 2, n2 - 1):
+            g[t] = t
+            occ[t] = t
+        pending = [n2 - 2, n2 - 1]
+    g[root] = 0
+    g[root ^ 1] = 1
+    occ[0] = root
+    occ[1] = root ^ 1
+    return _scan(sigma, g, occ, 2, pending, 0)
+
+
+def _scan(sigma, g, occ, free, pending, p):
+    n2 = len(sigma)
+    while p < n2:
+        if occ[p] < 0:
+            while pending and occ[p] < 0:
+                v = sigma[occ[pending.pop(0)]]
+                if v < 0:
+                    return
+                if g[v] < 0:
+                    g[v] = free
+                    g[v ^ 1] = free + 1
+                    occ[free] = v
+                    occ[free + 1] = v ^ 1
+                    free += 2
+            if occ[p] < 0:
+                best = None
+                for u in range(n2):
+                    if g[u] >= 0:
+                        continue
+                    g2 = g.copy()
+                    occ2 = occ.copy()
+                    g2[u] = free
+                    g2[u ^ 1] = free + 1
+                    occ2[free] = u
+                    occ2[free + 1] = u ^ 1
+                    cand = tuple(_scan(sigma, g2, occ2, free + 2, list(pending), p))
+                    if best is None or cand < best:
+                        best = cand
+                yield from best
+                return
+            continue
+        v = sigma[occ[p]]
+        if v < 0:
+            return
+        if g[v] < 0:
+            g[v] = free
+            g[v ^ 1] = free + 1
+            occ[free] = v
+            occ[free + 1] = v ^ 1
+            free += 2
+        yield g[v]
+        p += 1
+
+
+def _compare(trace, code) -> int:
+    """Sign of ``trace - code`` in lexicographic order, read only as far as
+    the first slot where they differ; a partial trace that ends first ties."""
+    for got, want in zip(trace, code):
+        if got != want:
+            return -1 if got < want else 1
+    return 0
+
+
+def tied_roots(sigma, roots, marked: bool = False) -> list[int] | None:
+    """The roots in ``roots`` whose trace equals ``sigma`` as far as both are
+    defined, or None as soon as one root's trace is smaller.
+
+    ``sigma`` may be partial, as in ``vtangle.codes``.  Every trace is read
+    from slot 0.
+    """
+    kept = []
+    for r in roots:
+        c = _compare(trace(sigma, r, marked), sigma)
+        if c < 0:
+            return None
+        if c == 0:
+            kept.append(r)
+    return kept
 
 
 def canonical_multiplicity(sigma: Perm, marked: bool = False) -> int:

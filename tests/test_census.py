@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import vtangle
 from vtangle.census import (
+    _advance,
     _link_leaves,
     _sigma_is_connected,
     _tangle_leaves,
@@ -30,7 +31,7 @@ from vtangle.census import (
     enumerate_diagrams,
     weighted_link_counts,
 )
-from vtangle.codes import _trace, canonical_code_stats, rooted_code
+from vtangle.codes import _roots, canonical_code_stats, resume, root_state, rooted_code
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
 from vtangle.series import F_genus, gamma_genus
@@ -41,6 +42,8 @@ from oracles import (
     canonical_multiplicity,
     is_canonical,
     relabelling_elements,
+    tied_roots,
+    trace,
 )
 
 # Counts per (crossings, genus) lifted from the acceptance tables; the
@@ -129,6 +132,7 @@ def unpruned_stats(sigma, marked):
     return best, codes.count(best)
 
 
+@functools.cache
 def root_normal_perms(mode, n):
     """Permutations of ``S_2n`` that equal their own root-0 code, canonical
     or not; found without the census generator.  Exhaustive up to size 8,
@@ -162,13 +166,25 @@ def test_early_exit_canonicity_matches_the_full_minimum(mode, n):
     assert canonical < len(inputs) or (mode, n) == ("link", 1)
 
 
+def library_partial_trace(partial, r, marked):
+    """The slots a root state reads of ``partial`` before it waits or runs
+    dry, and whether it ran dry."""
+    code = [-1] * len(partial)
+    st = resume(partial, code, root_state(len(partial), r, marked))
+    return tuple(v for v in code if v >= 0), st[0] < 0 and st[1] < len(partial)
+
+
 def check_partial_traces(sigma, partial, marked):
     """Each root's partial trace stays within the assigned prefix of
-    ``partial`` and is a prefix of the root's full code on ``sigma``."""
+    ``partial`` and is a prefix of the root's full code on ``sigma``; the
+    library's resumable scan reads the same slots up to where it runs dry."""
     for r in range(len(sigma) - 2 * marked):
-        trace = tuple(_trace(partial, r, marked))
-        assert all(v >= 0 for v in partial[: len(trace)])
-        assert trace == rooted_code(sigma, r, marked)[: len(trace)]
+        full = tuple(trace(partial, r, marked))
+        assert all(v >= 0 for v in partial[: len(full)])
+        assert full == rooted_code(sigma, r, marked)[: len(full)]
+        got, dry = library_partial_trace(partial, r, marked)
+        assert got == full[: len(got)]
+        assert dry or got == full
 
 
 def partials(sigma, k, marked):
@@ -201,6 +217,58 @@ def test_partial_trace_is_a_prefix_of_the_full_code_exhaustively(mode, size):
         for k in range(size + 1):
             for partial in partials(sigma, k, marked):
                 check_partial_traces(sigma, partial, marked)
+
+
+def resumed_tied_roots(partial, marked):
+    """Feed the assigned slots of ``partial`` to the census's ``_advance``
+    one at a time, marked slots last, starting from every root; the roots
+    still tied, or None when the branch is cut."""
+    n2 = len(partial)
+    sigma = [-1] * n2
+    tied = [root_state(n2, r, marked) for r in _roots(partial, marked)]
+    for q in sorted(range(n2), key=lambda q: (marked and q >= n2 - 2, q)):
+        if partial[q] >= 0:
+            sigma[q] = partial[q]
+            tied = _advance(sigma, tied)
+            if tied is None:
+                return None
+    return sorted(st[4][0] for st in tied)  # occ[0] is the root
+
+
+def has_no_connected_completion(partial, marked):
+    """Some root's scan of ``partial`` runs dry, and its discovered labels
+    form a closed proper subset: images assigned and inside the set."""
+    n2 = len(partial)
+    for r in _roots(partial, marked):
+        st = resume(partial, [-1] * n2, root_state(n2, r, marked))
+        if st[0] < 0 and st[1] < n2:
+            found = {u for u in range(n2) if st[3][u] >= 0}
+            return len(found) < n2 and all(partial[u] in found for u in found)
+    return False
+
+
+@pytest.mark.parametrize(
+    "mode,n", [("link", n) for n in range(1, 5)] + [("tangle", n) for n in range(1, 4)]
+)
+def test_resumed_root_states_match_tied_roots_on_every_prefix(mode, n):
+    """Resuming root states slot by slot gives what re-reading every trace
+    from slot 0 gives, on every prefix of every root-normal permutation.
+    The only difference allowed is a cut where a root's scan runs dry: the
+    prefix then has no connected completion, and the census drops it."""
+    marked = mode == "tangle"
+    dry_cuts = 0
+    for sigma in root_normal_perms(mode, n):
+        for k in range(len(sigma) - 2 * marked + 1):
+            for partial in partials(sigma, k, marked):
+                got = resumed_tied_roots(partial, marked)
+                want = tied_roots(partial, _roots(partial, marked), marked)
+                if got is None and want is not None:
+                    assert has_no_connected_completion(partial, marked), partial
+                    assert not _sigma_is_connected(sigma)
+                    dry_cuts += 1
+                else:
+                    assert got == want, partial
+    assert dry_cuts > 0 or n == 1
 
 
 @functools.cache
@@ -277,6 +345,8 @@ STREAM_DIGESTS = {
     ("link", 4, False): "df633d8aea4366ea000ae5e68527484042a3893d4c2a9ad040b65420e72cab4d",
     ("link", 5, True): "6e7afc57a39022f3fb1045cf5ebaa5985bdfab584907c03ba69f033c6332243d",
     ("link", 5, False): "b4150b2a290dbfc121db3a932a3a058c498ef44f02ac6c9360d5fb1a60be07b0",
+    ("link", 6, True): "a23be75459fa34db000b828b13527891b7dc9731b3a8d70de1fe98c0e690b56b",
+    ("link", 6, False): "620d0ec164c5d2d8229969ef9051a729dbdc24e53c8e972ccc4839c4b91914eb",
     ("tangle", 1, True): "e88cc7fb48fb50323959ebcffa721b1c5013687bf1360135fb263944fd57dafc",
     ("tangle", 1, False): "dffb6191351126bee2d6b7be3ad4f09a40cb6c493eb6ba2924e31576dd5645c1",
     ("tangle", 2, True): "46d1b7a653def97fbd03d55ce0fea9d7d714c07e9b51256d0d842dd53efb812e",
@@ -304,7 +374,9 @@ def test_census_stream_digest(census, mode, n, no_self_energy):
 
 
 def test_stream_is_sorted_and_duplicate_free():
-    for mode, n in (("link", 3), ("link", 4), ("tangle", 3)):
+    """Sorted by the ``sigma`` tuple; the code strings need not be (from
+    twelve labels on, the string "11" sorts before "9")."""
+    for mode, n in (("link", 3), ("link", 4), ("link", 6), ("tangle", 3), ("tangle", 4)):
         codes = [e.diagram.sigma for e in enumerate_diagrams(n, mode, no_self_energy=False)]
         assert codes == sorted(codes)
         assert len(codes) == len(set(codes))

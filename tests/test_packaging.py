@@ -41,6 +41,10 @@ def test_deleted_modules_stay_deleted(module):
         "vtangle.census:relabelling_elements",
         "vtangle.codes:canonical_multiplicity",
         "vtangle.codes:is_canonical",
+        "vtangle.codes:tied_roots",
+        "vtangle.codes:_trace",
+        "vtangle.codes:_scan",
+        "vtangle.codes:_compare",
         "vtangle.diagrams:_same_cycle_pairs",
         "vtangle.diagrams:_cycle_ids",
         "vtangle.groups:load_group_table",
