@@ -23,11 +23,14 @@ defined, so every leaf is canonical, each equivalence class surfaces
 exactly once, and the symmetry order is 1 plus the number of roots still
 tied.
 
-A tangle scan can stall on pieces that hang off the marked crossing; the
-generator then lets the marked values open the next block, mirroring the
-rooted-code rule, so connected tangles are produced without ever placing a
-block that nothing points at.  A link scan that stalls has a disconnected
-prefix and is pruned.  Only connected diagrams are enumerated.
+One search (:func:`_leaves`) serves links and tangles.  A tangle is a
+diagram with a marked block; a link is the unmarked case, where nothing
+is pending and no marked value is ever offered.  A scan can stall on
+pieces that hang off the marked crossing; the search then lets the
+marked values open the next block, mirroring the rooted-code rule, so
+connected tangles are produced without ever placing a block that nothing
+points at.  With no marked block a stall means a disconnected prefix, and
+the branch is pruned.  Only connected diagrams are enumerated.
 
 Per leaf the census checks connectivity on the bare tuple and the symmetry
 order, then builds the diagram, applies the self-energy filter and records
@@ -49,6 +52,7 @@ from .codes import LARGER, SMALLER, canonical_code, resume, root_state
 from .diagrams import (
     LinkDiagram,
     TangleDiagram,
+    _sigma_is_connected,
     genus,
     component_count,
     has_self_energy,
@@ -104,63 +108,41 @@ def _advance(sigma: list[int], tied: list) -> list | None:
     return still
 
 
-def _link_leaves(n2: int):
-    """``(sigma, symmetry)`` for the connected canonical link sigma, in order.
+def _leaves(n2: int, marked: bool):
+    """``(sigma, symmetry)`` for the connected canonical sigma on ``n2`` labels.
 
-    ``tied`` holds the scan states of the roots whose partial trace still
-    equals the prefix; a branch is cut as soon as one of them is smaller
-    (see :func:`_advance`).  A stall (no block was forced into
-    the next slot pair) means the prefix is a sealed, disconnected piece,
-    so that branch is cut too.
+    Slots are filled in order with values that are either already-opened
+    labels, the next fresh even label (opening a block), or a marked
+    label.  Every assignment resumes the ``tied`` states waiting on its
+    label and cuts the branch at the first smaller one (see
+    :func:`_advance`).
+
+    A stall (no block was forced into the next slot pair) leaves the
+    prefix a sealed piece.  For a link nothing later can reach it, so the
+    branch is cut.  For a tangle the pending marked slots take over,
+    exactly as in the rooted-code scan: the first one may open the stalled
+    block (value = stall position) or spend its value on an old label and
+    pass the stall to the second.  That only helps when some earlier slot
+    already took a marked value (``touched``): that is the bridge tying the
+    scanned prefix to the marked crossing.  Leftover values go to the
+    remaining marked slots at the end, where the states waiting on either
+    marked label are resumed together.  A link is the case with no marked
+    block: nothing is pending, and the leaf has nothing left to place.
+    Every leaf is connected.
     """
-    sigma = [-1] * n2
-    used = [False] * n2
-
-    def rec(p: int, m: int, tied: list):
-        if p == n2:
-            yield tuple(sigma), 1 + len(tied)
-            return
-        if p > m:
-            return
-        for v in range(min(m + 1, n2 - 1) + 1):
-            if used[v]:
-                continue
-            sigma[p] = v
-            still = _advance(sigma, tied)
-            if still is not None:
-                used[v] = True
-                yield from rec(p + 1, m + 2 if v == m + 1 else m, still)
-                used[v] = False
-        sigma[p] = -1
-
-    yield from rec(0, 1, [root_state(n2, r) for r in range(1, n2)])
-
-
-def _tangle_leaves(n2: int):
-    """``(sigma, symmetry)`` for the connected canonical marked sigma.
-
-    Slots below ``n2 - 2`` are filled in order with values that are either
-    already-opened labels, the next fresh even label (opening a block), or
-    a marked label.  On a stall the pending marked slots take over, exactly
-    as in the rooted-code scan: the first one may open the stalled block
-    (value = stall position) or spend its value on an old label and pass
-    the stall to the second.  A stall is only resolvable when some earlier
-    slot already took a marked value (``touched``): that is the bridge tying
-    the scanned prefix to the marked crossing, and without it the prefix is
-    a sealed piece nothing later can reach.  Leftover values go to the
-    remaining marked slots at the end.  Every leaf is connected.
-
-    As for links, every assignment resumes the ``tied`` states waiting on
-    its label and cuts the branch at the first smaller one; that includes
-    the marked slots filled at a stall and at the leaf, where the states
-    waiting on either marked label are resumed together.
-    """
-    top = n2 - 2
+    top = n2 - 2 if marked else n2
+    marks = range(top, n2)
     sigma = [-1] * n2
     used = [False] * n2
 
     def rec(p: int, m: int, pending: tuple[int, ...], touched: bool, tied: list):
         if p == top:
+            if not pending:
+                # Every slot is set and every state resumed.  A tangle gets
+                # here only when a stall opened a block from its last
+                # marked slot, so the marked crossing is not sealed off.
+                yield tuple(sigma), 1 + len(tied)
+                return
             rest = [v for v in range(n2) if not used[v]]
             if len(rest) != len(pending):
                 raise RuntimeError("leftover values do not match the pending marked slots")
@@ -186,7 +168,7 @@ def _tangle_leaves(n2: int):
                 yield from rec(p, p + 1, tail, touched, still)  # opens block {p, p+1}
                 used[p] = False
             old = [v for v in range(m + 1) if not used[v]]
-            old += [v for v in (top, top + 1) if not used[v]]
+            old += [v for v in marks if not used[v]]
             for v in old:
                 sigma[q] = v
                 still = _advance(sigma, tied)
@@ -199,7 +181,7 @@ def _tangle_leaves(n2: int):
         choices = [v for v in range(m + 1) if not used[v]]
         if m + 1 < top:
             choices.append(m + 1)
-        choices += [v for v in (top, top + 1) if not used[v]]
+        choices += [v for v in marks if not used[v]]
         for v in choices:
             sigma[p] = v
             still = _advance(sigma, tied)
@@ -210,7 +192,8 @@ def _tangle_leaves(n2: int):
                 used[v] = False
         sigma[p] = -1
 
-    yield from rec(0, 1, (top, top + 1), False, [root_state(n2, r, True) for r in range(1, top)])
+    tied = [root_state(n2, r, marked) for r in range(1, top)]
+    yield from rec(0, 1, tuple(marks), False, tied)
 
 
 @dataclass(frozen=True)
@@ -239,8 +222,7 @@ def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = Tru
     if n < 1:
         raise ValueError("need at least one crossing")
     marked = mode == "tangle"
-    leaves = _tangle_leaves(2 * n + 2) if marked else _link_leaves(2 * n)
-    entries = _entries(leaves, n, marked, no_self_energy)
+    entries = _entries(_leaves(2 * n + 2 * marked, marked), n, marked, no_self_energy)
     # Stall decisions write the marked slots out of tuple order, so the
     # tangle stream needs an explicit sort to come out lexicographic.
     if marked:
@@ -266,29 +248,6 @@ def _entries(leaves, n: int, marked: bool, no_self_energy: bool):
         if no_self_energy and has_self_energy(d):
             continue
         yield CensusEntry(d, genus(d), component_count(d), mult)
-
-
-def _sigma_is_connected(sigma: Perm) -> bool:
-    """``is_connected`` on a bare tuple, with no diagram built.
-
-    The orbit of label 0 under ``sigma`` and ``tau`` (``tau(a) = sigma(a ^ 1)``)
-    is closed under the block pairing, so it is a union of crossings; the
-    search walks crossings, from ``v`` to those of ``sigma(2v)`` and
-    ``sigma(2v + 1)``.
-    """
-    n = len(sigma) // 2
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in (sigma[2 * v] // 2, sigma[2 * v + 1] // 2):
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
 
 
 # -- counting ----------------------------------------------------------------

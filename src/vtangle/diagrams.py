@@ -6,6 +6,8 @@ groups labels into blocks, one per crossing; the two labels of a block are
 the edges going *over* at that crossing.  White faces are the cycles of
 ``sigma``, black faces the cycles of ``tau = sigma o rho``, and
 ``rho~ = sigma o tau^-1`` pairs the two edges going under at each crossing.
+Since ``rho~ = sigma o rho o sigma^-1`` is a conjugate of ``rho``, it is a
+fixed-point-free involution for every ``sigma``.
 
 Local picture at the crossing of block ``{2v, 2v+1}``, with compass
 positions::
@@ -54,9 +56,6 @@ class LinkDiagram:
             raise ValueError(
                 f"sigma acts on {len(self.sigma)} labels, expected {2 * self.n}"
             )
-        rt = self.rho_tilde
-        if not all(rt[rt[i]] == i and rt[i] != i for i in range(len(rt))):
-            raise RuntimeError("under-edge pairing is not a fixed-point-free involution")
 
     # -- derived permutations ------------------------------------------------
 
@@ -71,17 +70,14 @@ class LinkDiagram:
 
     @property
     def tau(self) -> Perm:
-        return compose(self.sigma, self.rho)
+        s = self.sigma
+        return tuple(s[a ^ 1] for a in range(len(s)))
 
     @property
     def rho_tilde(self) -> Perm:
-        return compose(self.sigma, inverse(self.tau))
+        return conjugate(self.sigma, self.rho)
 
     # -- construction / text form -------------------------------------------
-
-    @classmethod
-    def from_sigma(cls, n: int, sigma) -> "LinkDiagram":
-        return cls(n, tuple(sigma))
 
     @classmethod
     def from_code(cls, text: str) -> "LinkDiagram":
@@ -206,22 +202,30 @@ def component_count(d: LinkDiagram) -> int:
 def is_connected(d: LinkDiagram) -> bool:
     """True when the crossings are all joined through edges, i.e. the orbit
     of label 0 under ``sigma`` and ``tau`` is the whole label set."""
-    return _orbit_size(d.sigma, d.tau, d.size) == d.size
+    return _sigma_is_connected(d.sigma)
 
 
-def _orbit_size(p: Perm, q: Perm, size: int) -> int:
-    seen = [False] * size
-    stack = [0]
+def _sigma_is_connected(sigma: Perm) -> bool:
+    """:func:`is_connected` on a bare tuple, with no diagram built.
+
+    The orbit of label 0 under ``sigma`` and ``tau`` (``tau(a) = sigma(a ^ 1)``)
+    is closed under the block pairing, so it is a union of crossings; the
+    search walks crossings, from ``v`` to those of ``sigma(2v)`` and
+    ``sigma(2v + 1)``.
+    """
+    n = len(sigma) // 2
+    seen = [False] * n
     seen[0] = True
+    stack = [0]
     count = 1
     while stack:
-        a = stack.pop()
-        for b in (p[a], q[a]):
-            if not seen[b]:
-                seen[b] = True
+        v = stack.pop()
+        for w in (sigma[2 * v] // 2, sigma[2 * v + 1] // 2):
+            if not seen[w]:
+                seen[w] = True
                 count += 1
-                stack.append(b)
-    return count
+                stack.append(w)
+    return count == n
 
 
 def cut_labels(sigma: Perm) -> list[int]:

@@ -5,17 +5,15 @@ acting by conjugation.  The orbits follow from the other two, on demand
 and uncached, so a group here is just its Cayley table over elements
 ``0..order-1``.  The axioms are checked at construction time: rows and
 columns must be permutations, an identity must exist, and multiplication
-must associate.  The associativity check is vectorized so tables of
-order a few hundred (the sizes separation occasionally calls for) load in
-well under a second.
+must associate.  Associativity is checked by Light's test over a
+generating set (:func:`_generators`), which costs ``order^2`` products
+per generator instead of ``order^3`` in all.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-
-import numpy as np
 
 
 class FiniteGroup:
@@ -28,34 +26,29 @@ class FiniteGroup:
         m = len(rows)
         if m == 0:
             raise ValueError("a group has at least the identity element")
-        arr = np.asarray(rows, dtype=np.int64)
-        if arr.shape != (m, m):
-            raise ValueError(f"table must be {m}x{m}, got shape {arr.shape}")
-        if arr.min() < 0 or arr.max() >= m:
+        if any(len(row) != m for row in rows):
+            raise ValueError(f"table must be {m}x{m}")
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= m:
             raise ValueError("table entries must name elements 0..order-1")
-        ident = np.arange(m)
+        ident = tuple(range(m))
+        cols = tuple(zip(*rows))
         for a in range(m):
-            if np.any(np.sort(arr[a]) != ident) or np.any(np.sort(arr[:, a]) != ident):
+            if sorted(rows[a]) != list(ident) or sorted(cols[a]) != list(ident):
                 raise ValueError(f"row/column {a} is not a permutation of the elements")
-        units = [
-            e
-            for e in range(m)
-            if np.array_equal(arr[e], ident) and np.array_equal(arr[:, e], ident)
-        ]
+        units = [e for e in range(m) if rows[e] == ident and cols[e] == ident]
         if len(units) != 1:
             raise ValueError("table has no two-sided identity")
-        for a in range(m):
-            # (a*b)*c against a*(b*c), one generator row at a time.
-            if not np.array_equal(arr[arr[a]], arr[a][arr]):
-                raise ValueError("multiplication is not associative")
         e = units[0]
-        inv = [0] * m
-        for a in range(m):
-            inv[a] = int(np.nonzero(arr[a] == e)[0][0])
+        for g in _generators(rows, e):
+            # Light's test: (x*g)*y against x*(g*y) for every x and y.
+            row_g = rows[g]
+            for x, row_x in enumerate(rows):
+                if rows[row_x[g]] != tuple(row_x[b] for b in row_g):
+                    raise ValueError("multiplication is not associative")
         self.name = name
         self.table = rows
         self.identity = e
-        self.inverse = tuple(inv)
+        self.inverse = tuple(row.index(e) for row in rows)
 
     @property
     def order(self) -> int:
@@ -148,6 +141,39 @@ class FiniteGroup:
             for a2 in range(m)
         ]
         return FiniteGroup(name or f"{self.name}x{other.name}", table)
+
+
+def _generators(rows, e: int) -> list[int]:
+    """Elements that generate the table under multiplication.
+
+    Taken greedily in order: each element not yet reached from ``e`` by
+    right multiplication with the generators so far becomes one.
+
+    That is what Light's test needs.  Call ``a`` associative when
+    ``(x*a)*y = x*(a*y)`` for every ``x`` and ``y``.  The identity is,
+    and if ``a`` and ``b`` are then so is ``a*b``::
+
+        (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y)) = x*((a*b)*y)
+
+    So when every generator is associative, every element reached is,
+    and the table is associative.
+    """
+    reached = [False] * len(rows)
+    reached[e] = True
+    gens = []
+    for a in range(len(rows)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        stack = [x for x, hit in enumerate(reached) if hit]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = rows[x][g]
+                if not reached[y]:
+                    reached[y] = True
+                    stack.append(y)
+    return gens
 
 
 def _is_even(p) -> bool:

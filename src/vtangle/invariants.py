@@ -571,6 +571,12 @@ LEG_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _boundary_raw(od: OrientedDiagram, variables) -> tuple:
+    """The six leg-pair Alexander determinants of the open tangle.
+
+    Rows are the relation pairs of the real crossings only; for each pair
+    of legs the corresponding edge columns are removed (a leg pair whose
+    legs sit on one shared edge leaves the matrix non-square and scores
+    zero)."""
     t = od.diagram
     rows = _relation_matrix(od, variables, skip_crossing=t.n - 1)
     legs = t.legs
@@ -587,20 +593,6 @@ def _boundary_raw(od: OrientedDiagram, variables) -> tuple:
         ]
         out.append(det(square))
     return tuple(out)
-
-
-def boundary_determinants(t: TangleDiagram, raw: bool = False):
-    """The six leg-pair Alexander determinants of the open tangle.
-
-    Rows are the relation pairs of the real crossings only; for each pair
-    of legs the corresponding edge columns are removed (a leg pair whose
-    legs sit on one shared edge leaves the matrix non-square and scores
-    zero).  Any five determine the sixth through a bilinear identity on
-    complementary minors, which is what `raw` exists to let tests check."""
-    values = _boundary_raw(
-        _reference_orientation(t), alexander_variables(component_count(t))
-    )
-    return values if raw else tuple(normalize_unit(p) for p in values)
 
 
 def tangle_closure_strings(t: TangleDiagram) -> tuple[str, str]:

@@ -154,17 +154,6 @@ class MultiLaurentPoly:
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
 
-    def is_constant(self) -> bool:
-        zero = (0,) * len(self.variables)
-        return all(e == zero for e in self.terms)
-
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """The lexicographically largest exponent vector and its coefficient."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
-
     def evaluate(self, assignment: Mapping[str, object]):
         """Substitute values for some or all variables.
 

@@ -414,13 +414,21 @@ def G2_of(f):
 # and Gamma_h starts at g^(2h-1), so the rows run over h <= (order+1)//2.
 
 
-@lru_cache(maxsize=None)
 def alpha_series(order: int) -> GenusSeries:
     """The substitution point alpha(g) that removes all self-energies.
 
     Determined by G2(g, alpha) = 1, which by homogeneity is the fixed
     point alpha = 1 + (g/alpha^2) G4(g/alpha^2).
     """
+    return _fixed_point(order)[0]
+
+
+@lru_cache(maxsize=None)
+def _fixed_point(order: int) -> tuple[GenusSeries, GenusSeries, GenusSeries]:
+    """alpha, 1/alpha^2 and the G4 rows composed at g/alpha^2.
+
+    The settle check needs the composition, and Gamma is built from it:
+    Gamma = G4(g/alpha^2)/alpha^2 - 2."""
     h_max = (order + 1) // 2
     rows = [G4_of(f) for f in _f_rows(order + 1)]
     alpha = GenusSeries.constant(1, 0, 0)
@@ -432,19 +440,18 @@ def alpha_series(order: int) -> GenusSeries:
         alpha = GenusSeries(k, hk, alpha.grid)
         arg = GenusSeries.gee(k, hk) * alpha.reciprocal() ** 2
         alpha = 1 + arg * compose_rows(rows, arg)
-    arg = GenusSeries.gee(order, h_max) * alpha.reciprocal() ** 2
-    if alpha != 1 + arg * compose_rows(rows, arg):
+    inv_sq = alpha.reciprocal() ** 2
+    arg = GenusSeries.gee(order, h_max) * inv_sq
+    composed = compose_rows(rows, arg)
+    if alpha != 1 + arg * composed:
         raise RuntimeError("fixed point did not settle")
-    return alpha
+    return alpha, inv_sq, composed
 
 
 @lru_cache(maxsize=None)
 def _gamma_all(order: int) -> GenusSeries:
-    h_max = (order + 1) // 2
-    rows = [G4_of(f) for f in _f_rows(order + 1)]
-    inv_sq = alpha_series(order).reciprocal() ** 2
-    arg = GenusSeries.gee(order, h_max) * inv_sq
-    return inv_sq * compose_rows(rows, arg) - 2
+    _, inv_sq, composed = _fixed_point(order)
+    return inv_sq * composed - 2
 
 
 def gamma_genus(h: int, order: int) -> QSeries:

@@ -44,7 +44,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from vtangle.codes import _roots
-from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram, _orbit_size
+from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
     BRACKET_VARIABLES,
@@ -582,6 +582,22 @@ def _same_cycle_pairs(d: LinkDiagram):
                 yield (a, b)
 
 
+def orbit_size(p: Perm, q: Perm, size: int) -> int:
+    """Size of the orbit of label 0 under the group generated by ``p`` and ``q``."""
+    seen = [False] * size
+    stack = [0]
+    seen[0] = True
+    count = 1
+    while stack:
+        a = stack.pop()
+        for b in (p[a], q[a]):
+            if not seen[b]:
+                seen[b] = True
+                count += 1
+                stack.append(b)
+    return count
+
+
 def self_energy_pairwise(d: LinkDiagram) -> bool:
     """``has_self_energy`` by the swap-and-orbit test on every face-sharing pair."""
     for a, b in _same_cycle_pairs(d):
@@ -589,7 +605,7 @@ def self_energy_pairwise(d: LinkDiagram) -> bool:
         swap[a], swap[b] = b, a
         cut_sigma = compose(d.sigma, tuple(swap))
         cut_tau = compose(d.tau, tuple(swap))
-        if _orbit_size(cut_sigma, cut_tau, d.size) < d.size:
+        if orbit_size(cut_sigma, cut_tau, d.size) < d.size:
             return True
     return False
 

@@ -22,9 +22,8 @@ from hypothesis import given, settings, strategies as st
 import vtangle
 from vtangle.census import (
     _advance,
-    _link_leaves,
+    _leaves,
     _sigma_is_connected,
-    _tangle_leaves,
     canonical_diagram,
     canonical_form,
     count_table,
@@ -41,6 +40,7 @@ from oracles import (
     canonical_form_bruteforce,
     canonical_multiplicity,
     is_canonical,
+    orbit_size,
     relabelling_elements,
     tied_roots,
     trace,
@@ -311,7 +311,8 @@ def bruteforce_canonical_leaves(mode, n):
 
 
 def leaves(mode, n):
-    return _tangle_leaves(2 * n + 2) if mode == "tangle" else _link_leaves(2 * n)
+    marked = mode == "tangle"
+    return _leaves(2 * n + 2 * marked, marked)
 
 
 @pytest.mark.parametrize(
@@ -410,14 +411,17 @@ def test_generator_invariants_raise(monkeypatch):
 
 
 def test_raw_connectivity_guard_matches_is_connected():
+    """The crossing walk against the orbit of label 0 under sigma and tau."""
     for n in (1, 2, 3):
         for sigma in itertools.permutations(range(2 * n)):
-            assert _sigma_is_connected(sigma) == is_connected(LinkDiagram(n, sigma))
+            d = LinkDiagram(n, sigma)
+            want = orbit_size(d.sigma, d.tau, d.size) == d.size
+            assert _sigma_is_connected(sigma) == is_connected(d) == want
 
 
 def test_symmetric_tangle_leaf_raises(monkeypatch):
-    leaves = lambda n2: ((sigma, 2) for sigma, _ in _tangle_leaves(n2))
-    monkeypatch.setattr("vtangle.census._tangle_leaves", leaves)
+    leaves = lambda n2, marked: ((sigma, 2) for sigma, _ in _leaves(n2, marked))
+    monkeypatch.setattr("vtangle.census._leaves", leaves)
     with pytest.raises(RuntimeError):
         list(enumerate_diagrams(2, "tangle"))
 
@@ -430,9 +434,13 @@ def test_canonical_code_needs_an_admissible_root():
 NO_NUMPY_PROBE = """
 import sys
 from vtangle.census import enumerate_diagrams
+from vtangle.diagrams import LinkDiagram
+from vtangle.groups import builtin_groups
+from vtangle.invariants import link_record
 
 list(enumerate_diagrams(2, "tangle"))
-assert "numpy" not in sys.modules, "the census imported numpy"
+link_record(LinkDiagram.from_code("2:3 2 1 0"), tuple(builtin_groups().values()))
+assert "numpy" not in sys.modules, "the library imported numpy"
 """
 
 
@@ -537,6 +545,34 @@ def test_weighted_links_equal_the_free_energies():
         f = F_genus(h, 6)
         for n in range(1, 7):
             assert weights.get((n, h), 0) == f[n], (n, h)
+
+
+def rooted_link_counts(census, n):
+    """Sum of 2n/symmetry over the self-energy-free links with n crossings,
+    by genus: the links with a marked, oriented crossing."""
+    return {
+        h: sum(Fraction(2 * n, e.symmetry) for e in row)
+        for h, row in census(n, "link").items()
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rooted_links_equal_the_gamma_rows(census, n):
+    """Self-energy-free links with a rooted crossing are the tangles with
+    n - 1 real crossings: Gamma_h[n - 1] at every genus."""
+    rooted = rooted_link_counts(census, n)
+    assert set(rooted) <= set(range(n // 2 + 1))
+    for h in range(n // 2 + 1):
+        assert rooted.get(h, 0) == gamma_genus(h, n - 1)[n - 1], h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tangle_census_counts_the_rooted_links(census, n):
+    """The marked and the unmarked branch of the one generator agree: per
+    genus, the tangles with n real crossings are the rooted links with
+    n + 1 crossings."""
+    tangles = {h: len(row) for h, row in census(n, "tangle").items()}
+    assert tangles == rooted_link_counts(census, n + 1)
 
 
 def test_planar_self_energy_shortcut():

@@ -31,7 +31,15 @@ from vtangle.diagrams import (
     transform,
 )
 from vtangle.census import canonical_form, enumerate_diagrams
-from vtangle.perms import cycles
+from vtangle.perms import (
+    compose,
+    conjugate,
+    cycles,
+    inverse,
+    is_fixed_point_free,
+    is_involution,
+    rho_perm,
+)
 
 from oracles import relabelling_elements, self_energy_pairwise
 
@@ -99,15 +107,33 @@ def test_structural_checks_are_exceptions(monkeypatch):
     """They hold under ``python -O`` too.  No valid input breaks them, so
     each is provoked by corrupting what it checks."""
     with monkeypatch.context() as m:
-        m.setattr(LinkDiagram, "rho_tilde", property(lambda d: tuple(range(d.size))))
-        with pytest.raises(RuntimeError):
-            LinkDiagram(1, (1, 0))
-    with monkeypatch.context() as m:
         m.setattr("vtangle.diagrams.cycle_count", lambda p: 0)
         with pytest.raises(RuntimeError, match="odd Euler count"):
             genus(LinkDiagram(1, (1, 0)))
         with pytest.raises(RuntimeError, match="out of range"):
             genus(EXAMPLE)
+
+
+def check_under_pairing(sigma):
+    """tau and rho~ against their definitions sigma o rho and sigma o tau^-1."""
+    d = LinkDiagram(len(sigma) // 2, tuple(sigma))
+    assert d.tau == compose(d.sigma, rho_perm(d.size))
+    rt = compose(d.sigma, inverse(d.tau))
+    assert rt == d.rho_tilde == conjugate(d.sigma, rho_perm(d.size))
+    assert is_involution(rt) and is_fixed_point_free(rt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_under_pairing_is_a_conjugate_of_rho_exhaustively(n):
+    """rho~ = sigma o tau^-1 = sigma rho sigma^-1 for every sigma, so it is a
+    fixed-point-free involution and the constructor need not check it."""
+    for sigma in itertools.permutations(range(2 * n)):
+        check_under_pairing(sigma)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(2 * n))))
+def test_under_pairing_is_a_conjugate_of_rho_sampled(sigma):
+    check_under_pairing(sigma)
 
 
 def test_strand_senses_alternate():

@@ -1,6 +1,7 @@
 """Cayley-table validation and the shipped group constructions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtangle.groups import FiniteGroup, builtin_groups
 
@@ -45,6 +46,75 @@ def test_rejects_non_latin_table():
 def test_rejects_nonassociative_loop():
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup("loop5", NONASSOCIATIVE)
+
+
+def random_loop(rng, m):
+    """A random Latin square of order ``m`` with identity 0, filled cell by
+    cell with backtracking."""
+    rows = [list(range(m))] + [[a] + [-1] * (m - 1) for a in range(1, m)]
+    cells = [(a, b) for a in range(1, m) for b in range(1, m)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        options = [v for v in range(m) if v not in rows[a] and v not in (r[b] for r in rows)]
+        rng.shuffle(options)
+        for v in options:
+            rows[a][b] = v
+            if fill(k + 1):
+                return True
+        rows[a][b] = -1
+        return False
+
+    assert fill(0)
+    return rows
+
+
+def relabelled(rows, p):
+    """The table of the same operation on the names ``p[a]``."""
+    out = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, c in enumerate(row):
+            out[p[a]][p[b]] = p[c]
+    return out
+
+
+def associative_by_triples(rows):
+    m = len(rows)
+    return all(
+        rows[rows[x][y]][z] == rows[x][rows[y][z]]
+        for x in range(m) for y in range(m) for z in range(m)
+    )
+
+
+GROUPS_OF_ORDER = {
+    5: [FiniteGroup.cyclic(5)],
+    6: [FiniteGroup.cyclic(6), FiniteGroup.symmetric(3)],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 6]), st.booleans(), st.randoms(use_true_random=False))
+def test_associativity_check_matches_the_triple_loop(m, from_group, rng):
+    """Light's test over the greedy generators accepts exactly the loops
+    that the check of every triple accepts.  Order 5 is the smallest with
+    non-associative loops; the group tables are renamed at random so the
+    identity is not always element 0."""
+    if from_group:
+        rows = [list(row) for row in rng.choice(GROUPS_OF_ORDER[m]).table]
+    else:
+        rows = random_loop(rng, m)
+    names = list(range(m))
+    rng.shuffle(names)
+    rows = relabelled(rows, names)
+    try:
+        FiniteGroup("loop", rows)
+        accepted = True
+    except ValueError as err:
+        assert "not associative" in str(err)
+        accepted = False
+    assert accepted == associative_by_triples(rows)
 
 
 def test_rejects_out_of_range_entries():

@@ -25,6 +25,11 @@ def test_numba_is_not_a_dependency():
     assert not any(dep.startswith("numba") for dep in PROJECT["dependencies"])
 
 
+def test_no_runtime_dependency():
+    """The package runs on the standard library alone."""
+    assert PROJECT["dependencies"] == []
+
+
 @pytest.mark.parametrize("module", ["vtangle.charformula"])
 def test_deleted_modules_stay_deleted(module):
     """A module that left the package is neither importable nor an entry point."""
@@ -60,3 +65,26 @@ def test_moved_names_stay_out_of_the_library(name):
     """Code whose only callers are tests lives in ``tests/oracles.py``."""
     module, attr = name.split(":")
     assert not hasattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "vtangle.census:_link_leaves",
+        "vtangle.census:_tangle_leaves",
+        "vtangle.diagrams:_orbit_size",
+        "vtangle.diagrams:LinkDiagram.from_sigma",
+        "vtangle.laurent:MultiLaurentPoly.is_constant",
+        "vtangle.laurent:MultiLaurentPoly.leading_term",
+        "vtangle.invariants:boundary_determinants",
+    ],
+)
+def test_deleted_names_stay_deleted(name):
+    """Library code that lost its last caller, or was folded into other
+    code, does not come back."""
+    module, path = name.split(":")
+    owner_path, _, attr = path.rpartition(".")
+    owner = importlib.import_module(module)
+    for part in filter(None, owner_path.split(".")):
+        owner = getattr(owner, part)
+    assert not hasattr(owner, attr)
