@@ -404,19 +404,15 @@ def tangle_type(t: TangleDiagram) -> int:
             e, to_over = rt[e], True
 
 
-def close_tangle(t: TangleDiagram, pattern: str) -> LinkDiagram:
+def close_tangle_counted(t: TangleDiagram, pattern: str) -> tuple[LinkDiagram, int]:
     """Join the four legs with two arches, yielding an ``n-1`` crossing link.
 
     ``pattern`` is ``"numerator"`` (arches above and below: NW-NE, SW-SE) or
     ``"denominator"`` (arches on both sides: NW-SW, NE-SE).  A closure arc
     that joins the two ends of one edge produces a crossing-free circle,
-    which a permutation diagram cannot carry; it is dropped here, and
-    :func:`close_tangle_counted` reports how many were dropped.
+    which a permutation diagram cannot carry; it is dropped, and the
+    second item of the result counts how many were dropped.
     """
-    return close_tangle_counted(t, pattern)[0]
-
-
-def close_tangle_counted(t: TangleDiagram, pattern: str) -> tuple[LinkDiagram, int]:
     n2 = t.size
     w, x = n2 - 2, n2 - 1
     z, y = t.tau[x], t.sigma[x]  # NW and SE legs

@@ -21,6 +21,11 @@ edge cut.  The site search reads that off the diagram's cut labels
 (:func:`~vtangle.diagrams.cut_labels`): a frame whose four labels do not
 XOR to 0 is dropped before any search, and only the survivors get the
 breadth-first search that tells the piece from the rest.
+
+That search is the only admissibility test.  :func:`flype_classes`
+rewires every site it returns without checking the frame again, and
+:func:`apply_flype` accepts a site exactly when :func:`flype_sites`
+lists it.
 """
 
 from __future__ import annotations
@@ -64,11 +69,7 @@ class FlypeClass:
 
 
 def _face_perms(d: LinkDiagram, color: str) -> tuple[Perm, Perm]:
-    if color == "white":
-        return d.sigma, d.tau
-    if color == "black":
-        return d.tau, d.sigma
-    raise ValueError(f"color must be one of {COLORS}, got {color!r}")
+    return (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
 
 
 def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
@@ -241,61 +242,31 @@ def apply_flype(d: LinkDiagram, site: FlypeSite) -> LinkDiagram:
 
     The result is a valid diagram of the same type with the same crossing
     number; it is relabelled back to block normal form but not
-    canonicalised.  Raises ``ValueError`` when the site does not describe
-    an admissible flype on ``d``.
+    canonicalised.  The site search is the only admissibility test: a
+    site is admissible on ``d`` exactly when :func:`flype_sites` lists it,
+    and any other raises ``ValueError``.
     """
-    return _surgery(d, site)[0]
-
-
-def image_site(d: LinkDiagram, site: FlypeSite) -> FlypeSite:
-    """The site on ``apply_flype(d, site)`` that undoes the move.
-
-    After the move the subtangle sits on the other side of the carried
-    crossing in the mirrored arrangement, so the reverse move is itself a
-    flype: its frame is ``(gamma, delta, alpha, beta)`` pushed through the
-    relabelling the application performed.
-    """
-    _, g = _surgery(d, site)
-    return FlypeSite(
-        color=site.color,
-        alpha=g[site.gamma],
-        beta=g[site.delta],
-        gamma=g[site.alpha],
-        delta=g[site.beta],
-        subtangle=frozenset(g[x] for x in site.subtangle),
-    )
-
-
-def _surgery(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
-    s, t = _face_perms(d, site.color)
-    alpha, gamma, delta = site.alpha, site.gamma, site.delta
-    if not 0 <= alpha < d.size:
-        raise ValueError(f"edge {alpha} out of range for this diagram")
-    beta, mu, nu = s[alpha], t[alpha], alpha ^ 1
-    if (
-        beta != site.beta
-        or len({alpha, beta, mu, nu}) < 4
-        or gamma == delta
-        or gamma in (alpha, beta, mu, nu)
-        or delta in (alpha, beta, mu, nu)
-    ):
+    if site not in flype_sites(d):
         raise ValueError(f"not a flype site of this diagram: {site}")
-    lab = cut_labels(d.sigma)
-    if lab[mu] ^ lab[nu] ^ lab[gamma] ^ lab[delta]:
-        raise ValueError(f"frame edges do not form a cut: {site}")
+    return _rewire(d, site)[0]
+
+
+def _rewire(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
+    """The flipped diagram and the relabelling ``g`` that normalised it.
+
+    Trusts ``site`` to come from ``flype_sites(d)``; nothing here checks
+    the frame again.
+    """
+    s, t = _face_perms(d, site.color)
+    alpha, beta, gamma, delta = site.alpha, site.beta, site.gamma, site.delta
+    mu, nu = t[alpha], alpha ^ 1
     s_inv, t_inv = inverse(s), inverse(t)
-    marked = d.n - 1 if isinstance(d, TangleDiagram) else None
-    sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
-    if sub is None or frozenset(sub) != site.subtangle:
-        raise ValueError(f"site does not cut out its subtangle: {site}")
-    if _closed_genus(s, t, sub, gamma, delta, mu, nu) != 0:
-        raise ValueError(f"subtangle closure is not planar: {site}")
 
     # Flip the inside, rewire the frame.  The renaming psi patches the two
     # places where an inverted face arc runs off the subtangle's edge set.
     psi = {mu: beta, gamma: mu}
     s2, t2 = list(s), list(t)
-    for x in sub:
+    for x in site.subtangle:
         s2[x] = psi.get(s_inv[x], s_inv[x])
         t2[x] = psi.get(t_inv[x], t_inv[x])
     s2[alpha] = psi.get(s_inv[nu], s_inv[nu])
@@ -309,9 +280,8 @@ def _surgery(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
 
     sigma2, tau2 = tuple(s2), tuple(t2)
     pairing = compose(inverse(sigma2), tau2)
-    if marked is not None:
-        if pairing[d.size - 2] != d.size - 1:
-            raise RuntimeError("marked crossing was disturbed")
+    if isinstance(d, TangleDiagram) and pairing[d.size - 2] != d.size - 1:
+        raise RuntimeError("marked crossing was disturbed")
     g = pair_normalizer(pairing)
     return type(d)(d.n, conjugate(g, sigma2)), g
 
@@ -342,7 +312,7 @@ def flype_classes(codes: Iterable[str]) -> list[FlypeClass]:
             code = frontier.pop()
             d = _decode(code)
             for site in flype_sites(d):
-                image = canonical_diagram(apply_flype(d, site)).to_code()
+                image = canonical_diagram(_rewire(d, site)[0]).to_code()
                 if image not in members:
                     members.add(image)
                     frontier.append(image)

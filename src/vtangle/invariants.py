@@ -540,10 +540,8 @@ def cable_rotation(d: LinkDiagram) -> _RotationDiagram:
     return _RotationDiagram(len(ids), pair)
 
 
-def cabled_jones(d: LinkDiagram, k: int = 2) -> MultiLaurentPoly:
-    """Jones of the zero-linked 2-cable; only k=2 is implemented."""
-    if k != 2:
-        raise ValueError("only the 2-cable is supported")
+def cabled_jones(d: LinkDiagram) -> MultiLaurentPoly:
+    """Jones of the zero-linked 2-cable."""
     t = twist_number(d)
     # Each self-crossing doubles into two diagonal self-crossings of the
     # copies, so the cable's own twist is 2t; the compensating boxes only
@@ -705,13 +703,3 @@ def link_record(
         cabled=str(cabled_jones(d)) if include_cabled else None,
         **extra,
     )
-
-
-def tangle_record(
-    t: TangleDiagram,
-    groups: tuple[FiniteGroup, ...] = (),
-    include_cabled: bool = False,
-) -> InvariantRecord:
-    if not isinstance(t, TangleDiagram):
-        raise ValueError("tangle_record needs a tangle diagram")
-    return link_record(t, groups, include_cabled)

@@ -108,7 +108,7 @@ class QSeries:
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.reciprocal() ** (-k)
+            raise ValueError(f"negative power {k}: use reciprocal()")
         out = QSeries.constant(1, self.order)
         base = self
         while k:
@@ -259,7 +259,7 @@ class GenusSeries:
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.reciprocal() ** (-k)
+            raise ValueError(f"negative power {k}: use reciprocal()")
         out = GenusSeries.constant(1, self.n_max, self.h_max)
         base = self
         while k:
@@ -286,18 +286,6 @@ class GenusSeries:
                         acc[h1 + h2] += c * rows[n - k][h2]
             rows.append(tuple(-x for x in _xmul(inv0, acc)))
         return GenusSeries(self.n_max, self.h_max, rows)
-
-    def derivative_g(self) -> "GenusSeries":
-        return GenusSeries(
-            self.n_max - 1,
-            self.h_max,
-            [[n * c for c in row] for n, row in enumerate(self.grid)][1:],
-        )
-
-    def shift_g(self) -> "GenusSeries":
-        return GenusSeries(
-            self.n_max, self.h_max, [[Fraction(0)] * (self.h_max + 1)] + list(self.grid)
-        )
 
 
 def _xmul(u, v):
@@ -393,19 +381,14 @@ def F_genus(h: int, order: int) -> QSeries:
     return _f_rows(order)[h]
 
 
-def G4_of(f):
-    """Four-point function 2 dF/dg of a free energy of either kind."""
-    if isinstance(f, QSeries):
-        return f.derivative() * 2
-    return f.derivative_g() * 2
+def G4_of(f: QSeries) -> QSeries:
+    """Four-point function 2 dF/dg of a free energy."""
+    return f.derivative() * 2
 
 
-def G2_of(f):
+def G2_of(f: QSeries) -> QSeries:
     """Two-point function 1 + g G4 (at the bare substitution point)."""
-    g4 = G4_of(f)
-    if isinstance(g4, QSeries):
-        return 1 + g4.shift(1)
-    return 1 + g4.shift_g()
+    return 1 + G4_of(f).shift(1)
 
 
 # -- self-energy removal and the flype quotient ------------------------------

@@ -21,8 +21,9 @@ whole relabelling group, and the self-energy test that cuts every pair of
 face-sharing edges, against the census's rooted codes and the library's
 one-pass cut labels.  The census's resumed root scans are checked against
 a generator scan that reads every trace again from slot 0 on each prefix
-(``tied_roots``).  The group-table file reader and writer are test
-plumbing.
+(``tied_roots``).  ``image_site`` names the flype that undoes a flype,
+for the round-trip tests.  The group-table file reader and writer are
+test plumbing.
 
 The morphism count is brute force too: every labelling of the arcs by
 permutation tuples, each crossing relation checked by composing them,
@@ -45,6 +46,7 @@ from pathlib import Path
 
 from vtangle.codes import _roots
 from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
+from vtangle.flypes import FlypeSite, _rewire
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
     BRACKET_VARIABLES,
@@ -609,6 +611,25 @@ def self_energy_pairwise(d: LinkDiagram) -> bool:
             return True
     return False
 
+
+
+def image_site(d: LinkDiagram, site: FlypeSite) -> FlypeSite:
+    """The site on ``apply_flype(d, site)`` that undoes the move.
+
+    After the move the subtangle sits on the other side of the carried
+    crossing in the mirrored arrangement, so the reverse move is itself a
+    flype: its frame is ``(gamma, delta, alpha, beta)`` pushed through the
+    relabelling the application performed.
+    """
+    _, g = _rewire(d, site)
+    return FlypeSite(
+        color=site.color,
+        alpha=g[site.gamma],
+        beta=g[site.delta],
+        gamma=g[site.alpha],
+        delta=g[site.beta],
+        subtangle=frozenset(g[x] for x in site.subtangle),
+    )
 
 # -- group multiplication-table files -------------------------------------------
 #

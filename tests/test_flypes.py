@@ -31,12 +31,11 @@ from vtangle.flypes import (
     apply_flype,
     flype_classes,
     flype_sites,
-    image_site,
 )
 from vtangle.perms import conjugate, cycles, inverse
 from vtangle.series import gamma_genus, gamma_tilde
 
-from oracles import relabelling_elements
+from oracles import image_site, relabelling_elements
 
 # Flype classes of tangles per (crossings, genus); same provenance as the
 # census rows.  No such table exists for links.
@@ -216,6 +215,42 @@ def test_carrying_across_a_bare_crossing_changes_nothing(order, mode):
         seen += 1
         assert canonical_form(apply_flype(d, site)) == canonical_form(d)
     assert seen > 0
+
+
+# Face-admissible frames whose cut separates a subtangle, all of which are
+# flype sites here: self-energy-free census streams, every genus.
+FRAME_ROWS = {("link", 3): 16, ("link", 4): 78, ("tangle", 2): 8, ("tangle", 3): 96}
+
+
+@pytest.mark.parametrize("mode,order", sorted(FRAME_ROWS))
+def test_apply_flype_accepts_exactly_the_listed_sites(census, mode, order):
+    """The site search is the only admissibility test: of all face-admissible
+    frames, ``apply_flype`` takes those ``flype_sites`` lists and raises
+    ``ValueError`` on every other one.  A frame whose cut fails is offered
+    with an empty subtangle, as if the piece were a bare crossing."""
+    accepted = rejected = 0
+    for row in census(order, mode).values():
+        for e in row:
+            d = e.diagram
+            listed = set(flype_sites(d))
+            marked = d.n - 1 if mode == "tangle" else None
+            for color in COLORS:
+                s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
+                s_inv = inverse(s)
+                for alpha, mu, nu, gamma, delta in face_frames(d, color):
+                    sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
+                    site = FlypeSite(color, alpha, s[alpha], gamma, delta, frozenset(sub or ()))
+                    if site in listed:
+                        accepted += 1
+                        assert apply_flype(d, site).n == d.n
+                    else:
+                        rejected += 1
+                        with pytest.raises(ValueError):
+                            apply_flype(d, site)
+    assert accepted == FRAME_ROWS[mode, order]
+    assert accepted == sum(len(flype_sites(e.diagram))
+                           for row in census(order, mode).values() for e in row)
+    assert rejected > 0
 
 
 def test_apply_flype_rejects_doctored_sites():

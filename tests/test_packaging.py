@@ -52,6 +52,7 @@ def test_deleted_modules_stay_deleted(module):
         "vtangle.codes:_compare",
         "vtangle.diagrams:_same_cycle_pairs",
         "vtangle.diagrams:_cycle_ids",
+        "vtangle.flypes:image_site",
         "vtangle.groups:load_group_table",
         "vtangle.groups:save_group_table",
         "vtangle.invariants:bracket_by_loop_walk",
@@ -74,9 +75,14 @@ def test_moved_names_stay_out_of_the_library(name):
         "vtangle.census:_tangle_leaves",
         "vtangle.diagrams:_orbit_size",
         "vtangle.diagrams:LinkDiagram.from_sigma",
+        "vtangle.diagrams:close_tangle",
+        "vtangle.flypes:_surgery",
         "vtangle.laurent:MultiLaurentPoly.is_constant",
         "vtangle.laurent:MultiLaurentPoly.leading_term",
         "vtangle.invariants:boundary_determinants",
+        "vtangle.invariants:tangle_record",
+        "vtangle.series:GenusSeries.derivative_g",
+        "vtangle.series:GenusSeries.shift_g",
     ],
 )
 def test_deleted_names_stay_deleted(name):

@@ -111,6 +111,16 @@ def test_genus_series_reciprocal():
     assert biv * biv.reciprocal() == GenusSeries.constant(1, 6, 1)
 
 
+def test_negative_powers_raise():
+    """Powers are non-negative only; a negative one must not spin in the
+    square-and-multiply loop."""
+    biv = GenusSeries.from_rows([QSeries(4, [1, 3]), QSeries(4, [0, 2])], 4)
+    for x in (QSeries(4, [1, 3]), biv):
+        assert x ** 2 == x * x
+        with pytest.raises(ValueError):
+            x ** -1
+
+
 # -- free energies -----------------------------------------------------------
 
 
