@@ -1,18 +1,21 @@
 """Exact generating functions for the weighted diagram counts.
 
 Everything here is a formal power series in the coupling g with exact
-rational coefficients, truncated at an explicit order.  The univariate
-kind (`QSeries`) carries one genus sector or a genus sum; the bivariate
-kind (`GenusSeries`) additionally tracks powers of x = 1/N^2, one per
-handle.  The pipeline runs: free energies of every genus from the
-integer recurrence for rooted maps, four-point function by
-differentiation, self-energy removal through the substitution point
-alpha(g), and finally the flype quotient through a renormalized coupling
-g0(g).  Every stage takes its truncation order as an argument and no
-order is capped; the genera follow from it, h <= order//2 for the free
-energies and h <= (order+1)//2 for the Gamma rows.  The resulting rows
-are the reference numbers the census and flype modules are tested
-against.
+coefficients, truncated at an explicit order.  The univariate kind
+(`QSeries`) carries one genus sector or a genus sum; the bivariate kind
+(`GenusSeries`) additionally tracks powers of x = 1/N^2, one per handle.
+The pipeline runs: rooted-map counts Q_h(n) of every genus from an
+integer recurrence, which give the free energies F_h[n] = Q_h(n)/(2n) and
+the four-point rows G4_h[m] = Q_h(m+1); self-energy removal through the
+substitution point alpha(g); and the flype quotient through a
+renormalized coupling g0(g).  The free energies are the only rational
+coefficients.  Every series after them has integer coefficients, and
+every series that gets inverted has constant term 1, so alpha, Gamma_h,
+g0 and Gamma~_h run on Python ints.  Every stage takes its truncation
+order as an argument and no order is capped; the genera follow from it,
+h <= order//2 for the free energies and h <= (order+1)//2 for the Gamma
+rows.  The resulting rows are the reference numbers the census and flype
+modules are tested against.
 
 Floating point appears in exactly one place, the growth diagnostic, which
 estimates the radius of convergence and singularity exponent from
@@ -25,18 +28,29 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _exact(coeffs, length: int) -> tuple:
+    """The first ``length`` coefficients, padded with the int 0.
+
+    A coefficient is an int or a Fraction and keeps its type; anything
+    else, a float above all, is refused rather than rounded into a count.
+    """
+    out = tuple(coeffs)[:length]
+    for kind in set(map(type, out)):
+        if not issubclass(kind, (int, Fraction)):
+            raise TypeError(f"series coefficient of type {kind.__name__}: not exact")
+    return out + (0,) * (length - len(out))
+
+
 class QSeries:
-    """Truncated power series sum(c[n] g^n, n=0..order) with exact rationals."""
+    """Truncated power series sum(c[n] g^n, n=0..order) with exact coefficients."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
         if order < 0:
             raise ValueError("series order must be nonnegative")
-        padded = [Fraction(c) for c in coeffs][: order + 1]
-        padded += [Fraction(0)] * (order + 1 - len(padded))
         self.order = order
-        self.coeffs = tuple(padded)
+        self.coeffs = _exact(coeffs, order + 1)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -44,14 +58,14 @@ class QSeries:
 
     @classmethod
     def constant(cls, c, order: int) -> "QSeries":
-        return cls(order, [Fraction(c)])
+        return cls(order, [c])
 
     @classmethod
     def gee(cls, order: int) -> "QSeries":
         """The series g itself."""
         return cls(order, [0, 1])
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int):
         return self.coeffs[n]
 
     def __eq__(self, other):
@@ -93,10 +107,10 @@ class QSeries:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QSeries):
             return QSeries(self.order, [c * other for c in self.coeffs])
         a, b = self._join(other)
-        out = [Fraction(0)] * (a.order + 1)
+        out = [0] * (a.order + 1)
         for i, x in enumerate(a.coeffs):
             if not x:
                 continue
@@ -120,17 +134,11 @@ class QSeries:
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by g^k (dropping what falls off the truncation)."""
-        return QSeries(self.order, [Fraction(0)] * k + list(self.coeffs))
+        return QSeries(self.order, [0] * k + list(self.coeffs))
 
     def reciprocal(self) -> "QSeries":
-        if not self.coeffs[0]:
-            raise ValueError("no reciprocal: constant term vanishes")
-        inv0 = 1 / self.coeffs[0]
-        out = [inv0]
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[k] * out[n - k] for k in range(1, n + 1))
-            out.append(-inv0 * acc)
-        return QSeries(self.order, out)
+        """Inverse when the constant term is a unit, 1 or -1."""
+        return QSeries(self.order, _unit_inverse(self.coeffs))
 
     def derivative(self) -> "QSeries":
         """d/dg, keeping the truncation order (top coefficient unknown -> order-1)."""
@@ -165,9 +173,7 @@ class GenusSeries:
         rows = []
         for n in range(n_max + 1):
             src = grid[n] if grid and n < len(grid) else ()
-            row = [Fraction(c) for c in src][: h_max + 1]
-            row += [Fraction(0)] * (h_max + 1 - len(row))
-            rows.append(tuple(row))
+            rows.append(_exact(src, h_max + 1))
         self.grid = tuple(rows)
 
     @classmethod
@@ -182,11 +188,11 @@ class GenusSeries:
 
     @classmethod
     def constant(cls, c, n_max: int, h_max: int) -> "GenusSeries":
-        return cls(n_max, h_max, [[Fraction(c)]])
+        return cls(n_max, h_max, [[c]])
 
     @classmethod
     def gee(cls, n_max: int, h_max: int) -> "GenusSeries":
-        return cls(n_max, h_max, [[], [Fraction(1)]])
+        return cls(n_max, h_max, [[], [1]])
 
     def row(self, h: int) -> QSeries:
         """The genus-h sector as a univariate series in g."""
@@ -237,23 +243,23 @@ class GenusSeries:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GenusSeries(
-                self.n_max,
-                self.h_max,
-                [[c * other for c in row] for row in self.grid],
-            )
+        if not isinstance(other, GenusSeries):
+            grid = [[c * other for c in row] for row in self.grid]
+            return GenusSeries(self.n_max, self.h_max, grid)
         a, b = self._join(other)
-        grid = [[Fraction(0)] * (a.h_max + 1) for _ in range(a.n_max + 1)]
+        n_max, h_max = a.n_max, a.h_max
+        terms = [(n, h, c) for n, row in enumerate(b.grid) for h, c in enumerate(row) if c]
+        grid = [[0] * (h_max + 1) for _ in range(n_max + 1)]
         for n1, row in enumerate(a.grid):
             for h1, c in enumerate(row):
                 if not c:
                     continue
-                for n2 in range(a.n_max + 1 - n1):
-                    for h2 in range(a.h_max + 1 - h1):
-                        if b.grid[n2][h2]:
-                            grid[n1 + n2][h1 + h2] += c * b.grid[n2][h2]
-        return GenusSeries(a.n_max, a.h_max, grid)
+                for n2, h2, c2 in terms:
+                    if n1 + n2 > n_max:
+                        break
+                    if h1 + h2 <= h_max:
+                        grid[n1 + n2][h1 + h2] += c * c2
+        return GenusSeries(n_max, h_max, grid)
 
     __rmul__ = __mul__
 
@@ -270,14 +276,12 @@ class GenusSeries:
         return out
 
     def reciprocal(self) -> "GenusSeries":
-        """Inverse when the g-constant term is a unit in Q[x]/(x^(h_max+1))."""
-        c0 = self.grid[0]
-        if not c0[0]:
-            raise ValueError("no reciprocal: constant term vanishes")
-        inv0 = _xinv(c0)
+        """Inverse when the g-constant term is a unit of Z[x]/(x^(h_max+1)),
+        that is, when its x-constant term is 1 or -1."""
+        inv0 = _unit_inverse(self.grid[0])
         rows = [inv0]
         for n in range(1, self.n_max + 1):
-            acc = [Fraction(0)] * (self.h_max + 1)
+            acc = [0] * (self.h_max + 1)
             for k in range(1, n + 1):
                 for h1, c in enumerate(self.grid[k]):
                     if not c:
@@ -290,7 +294,7 @@ class GenusSeries:
 
 def _xmul(u, v):
     h_max = len(u) - 1
-    out = [Fraction(0)] * (h_max + 1)
+    out = [0] * (h_max + 1)
     for i, a in enumerate(u):
         if a:
             for j in range(h_max + 1 - i):
@@ -298,12 +302,15 @@ def _xmul(u, v):
     return tuple(out)
 
 
-def _xinv(u):
-    inv0 = 1 / u[0]
-    out = [inv0]
-    for h in range(1, len(u)):
-        acc = sum(u[k] * out[h - k] for k in range(1, h + 1))
-        out.append(-inv0 * acc)
+def _unit_inverse(u) -> tuple:
+    """Inverse of the truncated series sum(u[k] t^k); u[0] must be 1 or -1,
+    its own inverse, so integer coefficients stay integers."""
+    u0 = u[0]
+    if u0 not in (1, -1):
+        raise ValueError(f"no reciprocal in the integers: constant term {u0}")
+    out = [u0]
+    for n in range(1, len(u)):
+        out.append(-u0 * sum(u[k] * out[n - k] for k in range(1, n + 1)))
     return tuple(out)
 
 
@@ -315,7 +322,7 @@ def compose_rows(rows: list[QSeries], arg: GenusSeries) -> GenusSeries:
     powers = [GenusSeries.constant(1, n_max, h_max)]
     for _ in range(n_max):
         powers.append(powers[-1] * arg)
-    grid = [[Fraction(0)] * (h_max + 1) for _ in range(n_max + 1)]
+    grid = [[0] * (h_max + 1) for _ in range(n_max + 1)]
     for h, series in enumerate(rows[: h_max + 1]):
         for k in range(min(series.order, n_max) + 1):
             c = series[k]
@@ -339,8 +346,8 @@ def _check_genus(h: int, h_max: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _f_rows(order: int) -> tuple[QSeries, ...]:
-    """F_0..F_(order//2) through g^order; F_h starts at g^(2h).
+def _f_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """Q_h(0..order) for h = 0..order//2; Q_h(n) vanishes below n = 2h.
 
     The medial construction matches link diagrams with n crossings to maps
     with n edges, genus for genus, so F_h[n] = Q_h(n) / (2n), where Q_h(n)
@@ -350,7 +357,8 @@ def _f_rows(order: int) -> tuple[QSeries, ...]:
         (n+1) Q_h(n) = 4(2n-1) Q_h(n-1) + (2n-3)(n-1)(2n-1) Q_(h-1)(n-2)
             + 3 sum_(k=1..n-1) (2k-1)(2n-2k-1) sum_(i=0..h) Q_i(k-1) Q_(h-i)(n-k-1)
 
-    with Q_0(0) = 1, and the division by n+1 is exact.
+    with Q_0(0) = 1, and the division by n+1 is exact.  The four-point
+    rows are then integral too: G4_h[m] = 2(m+1) F_h[m+1] = Q_h(m+1).
     """
     if order < 0:
         raise ValueError("series order must be nonnegative")
@@ -369,26 +377,16 @@ def _f_rows(order: int) -> tuple[QSeries, ...]:
             q[h][n], remainder = divmod(total, n + 1)
             if remainder:
                 raise RuntimeError(f"rooted-map recurrence left a remainder at h={h}, n={n}")
-    return tuple(
-        QSeries(order, [0] + [Fraction(row[n], 2 * n) for n in range(1, order + 1)])
-        for row in q
-    )
+    return tuple(tuple(row) for row in q)
 
 
 def F_genus(h: int, order: int) -> QSeries:
-    """Genus-h free energy: the weighted count of connected link diagrams."""
+    """Genus-h free energy: the weighted count of connected link diagrams.
+
+    F_h[n] = Q_h(n)/(2n), through g^order; F_h starts at g^(2h)."""
     _check_genus(h, order // 2)
-    return _f_rows(order)[h]
-
-
-def G4_of(f: QSeries) -> QSeries:
-    """Four-point function 2 dF/dg of a free energy."""
-    return f.derivative() * 2
-
-
-def G2_of(f: QSeries) -> QSeries:
-    """Two-point function 1 + g G4 (at the bare substitution point)."""
-    return 1 + G4_of(f).shift(1)
+    q = _f_rows(order)[h]
+    return QSeries(order, [0] + [Fraction(q[n], 2 * n) for n in range(1, order + 1)])
 
 
 # -- self-energy removal and the flype quotient ------------------------------
@@ -413,7 +411,7 @@ def _fixed_point(order: int) -> tuple[GenusSeries, GenusSeries, GenusSeries]:
     The settle check needs the composition, and Gamma is built from it:
     Gamma = G4(g/alpha^2)/alpha^2 - 2."""
     h_max = (order + 1) // 2
-    rows = [G4_of(f) for f in _f_rows(order + 1)]
+    rows = [QSeries(order, q[1:]) for q in _f_rows(order + 1)]
     alpha = GenusSeries.constant(1, 0, 0)
     # Sweep k fixes g^k, given alpha exact below it, so it runs at that
     # truncation; the x^h sector of alpha starts at g^(2h), so padding the

@@ -16,6 +16,11 @@ none of that code:
   on a full cycle, with raw permutation-pair scans that recompute them
   from the definition for small h.
 
+The library runs the Gamma rows on integers, reading the four-point rows
+as the map counts Q_h(m+1).  ``gamma_rows_rational`` runs the same sweep
+on rows differentiated from the rational free energies, as the library
+did before.
+
 The diagram oracles are brute force: canonical forms minimised over the
 whole relabelling group, and the self-energy test that cuts every pair of
 face-sharing edges, against the census's rooted codes and the library's
@@ -62,7 +67,7 @@ from vtangle.invariants import (
 )
 from vtangle.laurent import MultiLaurentPoly
 from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse
-from vtangle.series import QSeries
+from vtangle.series import F_genus, GenusSeries, QSeries, compose_rows
 
 
 # -- series plumbing only the oracles use -------------------------------------
@@ -71,7 +76,7 @@ from vtangle.series import QSeries
 def integral(p: QSeries) -> QSeries:
     return QSeries(
         p.order + 1,
-        [Fraction(0)] + [c / (n + 1) for n, c in enumerate(p.coeffs)],
+        [0] + [Fraction(c, n + 1) for n, c in enumerate(p.coeffs)],
     )
 
 
@@ -80,6 +85,38 @@ def log(p: QSeries) -> QSeries:
     if p.coeffs[0] != 1:
         raise ValueError("log needs constant term 1")
     return integral(p.derivative() * p.reciprocal()).truncate(p.order)
+
+
+def G4_of(f: QSeries) -> QSeries:
+    """Four-point function 2 dF/dg of a free energy."""
+    return f.derivative() * 2
+
+
+def G2_of(f: QSeries) -> QSeries:
+    """Two-point function 1 + g G4 (at the bare substitution point)."""
+    return 1 + G4_of(f).shift(1)
+
+
+def gamma_rows_rational(order: int) -> list[QSeries]:
+    """Gamma_0..Gamma_((order+1)//2) through g^order in rationals.
+
+    The alpha sweep and Gamma = G4(g/alpha^2)/alpha^2 - 2 as the library
+    ran them before it read the four-point rows as the integer map counts:
+    here the rows are G4_of(F_h), differentiated from the free energies,
+    and every coefficient they feed into the sweep is a Fraction.
+    """
+    h_max = (order + 1) // 2
+    rows = [G4_of(F_genus(h, order + 1)) for h in range(h_max + 1)]
+    alpha = GenusSeries.constant(1, 0, 0)
+    for k in range(order + 1):
+        hk = (k + 1) // 2
+        alpha = GenusSeries(k, hk, alpha.grid)
+        arg = GenusSeries.gee(k, hk) * alpha.reciprocal() ** 2
+        alpha = 1 + arg * compose_rows(rows, arg)
+    inv_sq = alpha.reciprocal() ** 2
+    arg = GenusSeries.gee(order, h_max) * inv_sq
+    gamma = inv_sq * compose_rows(rows, arg) - 2
+    return [gamma.row(h) for h in range(h_max + 1)]
 
 
 # -- the character sum over S_2n ------------------------------------------------

@@ -117,9 +117,13 @@ def test_domino_levels_hold_every_nonzero_character():
 
 
 def test_free_energy_rows_cover_every_genus_the_order_allows():
+    """The recurrence gives the integer map counts Q_h(0..order) for every
+    genus the order allows, and F_h[n] = Q_h(n)/(2n)."""
     rows = _f_rows(5)
-    assert len(rows) == 3 and all(row.order == 5 for row in rows)
-    assert rows[0].coeffs[:3] == (0, 1, F(9, 4))
+    assert len(rows) == 3 and all(len(row) == 6 for row in rows)
+    assert rows[0][:3] == (1, 2, 9)
+    assert all(type(c) is int for row in rows for c in row)
+    assert F_genus(0, 5).coeffs[:3] == (0, 1, F(9, 4))
     with pytest.raises(ValueError):
         _f_rows(-1)
 
@@ -127,7 +131,7 @@ def test_free_energy_rows_cover_every_genus_the_order_allows():
 def test_recurrence_equals_the_character_sum():
     """The rooted-map recurrence against the character sum at every genus."""
     for order in (*range(7), 15):
-        rows = [list(row.coeffs) for row in _f_rows(order)]
+        rows = [list(F_genus(h, order).coeffs) for h in range(order // 2 + 1)]
         assert rows == free_energy_coefficients(order)
 
 

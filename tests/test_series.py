@@ -1,6 +1,6 @@
 """The generating-function pipeline against its frozen coefficient tables.
 
-Every comparison is exact rational equality.  The tables are the same
+Every comparison is exact equality.  The tables are the same
 ones the census tests use, so a failure on either side localizes whether
 counting or analysis broke.  Beyond the tables, the free energies are
 checked against the closed forms and the N=1 sum rule in ``oracles``,
@@ -13,11 +13,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import CLOSED_FORMS, F_all_N1, a2_series, log
-from vtangle.series import (
-    F_genus,
+from oracles import (
+    CLOSED_FORMS,
+    F_all_N1,
     G2_of,
     G4_of,
+    a2_series,
+    gamma_rows_rational,
+    log,
+)
+from vtangle.series import (
+    F_genus,
     GenusSeries,
     QSeries,
     alpha_series,
@@ -109,6 +115,32 @@ def test_genus_series_reciprocal():
     rows = [QSeries(6, [1, 3, 1]), QSeries(6, [0, 2])]
     biv = GenusSeries.from_rows(rows, 6)
     assert biv * biv.reciprocal() == GenusSeries.constant(1, 6, 1)
+
+
+def test_coefficients_keep_their_exact_type():
+    """Ints stay ints, Fractions stay Fractions, padding is the int 0, and
+    a float is refused by both constructors and by scalar products."""
+    p = QSeries(3, [1, F(1, 2)])
+    assert [type(c) for c in p.coeffs] == [int, F, int, int]
+    assert [type(c) for c in (p * 2).coeffs] == [int, F, int, int]
+    for make in (
+        lambda: QSeries(3, [1, 0.5]),
+        lambda: GenusSeries(3, 1, [[1], [0, 0.5]]),
+        lambda: QSeries.gee(3) * 0.5,
+        lambda: GenusSeries.gee(3, 1) + 1.0,
+    ):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_reciprocal_needs_a_unit_constant_term():
+    """Only 1 and -1 invert in the integers, so nothing else is divided by."""
+    for c0 in (2, 0, F(1, 2)):
+        with pytest.raises(ValueError):
+            QSeries(4, [c0, 1]).reciprocal()
+        with pytest.raises(ValueError):
+            GenusSeries(4, 1, [[c0, 1], [1]]).reciprocal()
+    assert QSeries(4, [-1, 1]).reciprocal() == QSeries(4, [-1] * 5)
 
 
 def test_negative_powers_raise():
@@ -308,10 +340,23 @@ def test_n1_sum_rules():
 
 
 def test_class_counts_are_nonnegative_integers():
+    """Past the free energies every coefficient is a Python int, so a
+    slide back to Fraction arithmetic fails here."""
     for h in range(DEEP // 2 + 1):
         for series in (gamma_genus(h, DEEP), gamma_tilde(h, DEEP)):
             for c in series.coeffs:
-                assert c.denominator == 1 and c >= 0
+                assert type(c) is int and c >= 0
+    assert all(type(c) is int for row in alpha_series(DEEP).grid for c in row)
+    assert all(type(c) is int for c in g0_series(DEEP).coeffs)
+
+
+def test_integer_rows_equal_the_rational_route():
+    """The four-point rows read as map counts against G4 = 2 dF/dg of the
+    rational free energies, at every genus through g^16."""
+    rows = gamma_rows_rational(16)
+    assert len(rows) == 9
+    for h, row in enumerate(rows):
+        assert gamma_genus(h, 16) == row
 
 
 def test_deep_rows_extend_the_tables():
@@ -334,21 +379,36 @@ def univariate_gamma(f):
     return alpha.reciprocal() ** 2 * g4.compose(arg) - 2
 
 
-def test_n1_rows_through_order_14_match_a_univariate_pipeline():
-    """Sum over h of Gamma_h and Gamma~_h against the same pipeline run
-    in g alone on the N=1 oracle, with g0 from the planar closed form."""
-    gamma_n1 = univariate_gamma(F_all_N1(DEEP + 1))
-    gamma0 = univariate_gamma(CLOSED_FORMS[0](DEEP + 1))
-    g = QSeries.gee(DEEP)
+def n1_sums_match_a_univariate_pipeline(order):
+    """Sum over h of Gamma_h and Gamma~_h through g^order against the same
+    pipeline run in g alone on the N=1 oracle, with g0 from the planar
+    closed form; returns the two N=1 rows."""
+    gamma_n1 = univariate_gamma(F_all_N1(order + 1))
+    gamma0 = univariate_gamma(CLOSED_FORMS[0](order + 1))
+    g = QSeries.gee(order)
     g0 = g
-    for _ in range(DEEP + 1):
+    for _ in range(order + 1):
         g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
-    rows = range(DEEP // 2 + 1)
-    assert sum((gamma_genus(h, DEEP) for h in rows), QSeries.zero(DEEP)) == gamma_n1
-    tilde = sum((gamma_tilde(h, DEEP) for h in rows), QSeries.zero(DEEP))
+    rows = range((order + 1) // 2 + 1)
+    assert sum((gamma_genus(h, order) for h in rows), QSeries.zero(order)) == gamma_n1
+    tilde = sum((gamma_tilde(h, order) for h in rows), QSeries.zero(order))
     assert tilde == gamma_n1.compose(g0)
+    return gamma_n1, tilde
+
+
+def test_n1_rows_through_order_14_match_a_univariate_pipeline():
+    gamma_n1, tilde = n1_sums_match_a_univariate_pipeline(DEEP)
     assert list(gamma_n1.truncate(10).coeffs) == GAMMA_N1
     assert list(tilde.truncate(10).coeffs) == GAMMA_TILDE_N1
+
+
+@pytest.mark.slow
+def test_deep_rows_through_order_40():
+    """The integer rows against the rational route and the N=1 sums, at
+    every genus through g^40."""
+    for h, row in enumerate(gamma_rows_rational(40)):
+        assert gamma_genus(h, 40) == row
+    n1_sums_match_a_univariate_pipeline(40)
 
 
 # -- growth diagnostics ------------------------------------------------------
