@@ -18,14 +18,15 @@ in block normal form, so every application ends with a relabelling.
 The four edges ``mu``, ``nu``, ``gamma`` and ``delta`` of an admissible
 frame are exactly the edges leaving the flipped piece, so they form an
 edge cut.  The site search reads that off the diagram's cut labels
-(:func:`~vtangle.diagrams.cut_labels`): a frame whose four labels do not
-XOR to 0 is dropped before any search, and only the survivors get the
-breadth-first search that tells the piece from the rest.
+(:func:`~vtangle.diagrams.cut_labels`): it indexes each face by the
+(other-color face, cut label) of its edges and looks ``gamma`` up under
+the key that makes the four labels XOR to 0, so only those frames get
+the breadth-first search that tells the piece from the rest.
 
-That search is the only admissibility test.  :func:`flype_classes`
-rewires every site it returns without checking the frame again, and
-:func:`apply_flype` accepts a site exactly when :func:`flype_sites`
-lists it.
+That search is the only admissibility test: :func:`apply_flype` accepts
+a site exactly when :func:`flype_sites` lists it.  :func:`flype_classes`
+rewires the sites it uses without checking the frame again, and skips
+those whose piece is a bare crossing, whose image is the diagram itself.
 """
 
 from __future__ import annotations
@@ -68,10 +69,6 @@ class FlypeClass:
         return len(self.members)
 
 
-def _face_perms(d: LinkDiagram, color: str) -> tuple[Perm, Perm]:
-    return (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
-
-
 def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
     """All admissible flype sites of both colors.
 
@@ -85,41 +82,50 @@ def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
     without self-energies; a tangle's marked crossing never takes part.
 
     The cut is tested in two steps.  First the XOR of the four edges'
-    :func:`~vtangle.diagrams.cut_labels` must be 0, which is one integer
-    operation per frame.  This drops no site: the piece an admissible
-    frame cuts out is a vertex component once the four edges are removed,
-    so no other edge leaves it, and each of the four has exactly one end
-    in it; the four are then precisely the edges leaving a vertex set, an
-    edge cut, and edge cuts are the sets whose labels XOR to 0.  Only the
-    frames that pass get the breadth-first search, which is still needed
-    to tell the inside of the cut from the outside.  Without self-energies
-    every cut has at least four edges (cuts have an even size in a graph
-    whose crossings all have four edge ends), so the four edges of a
-    passing frame are a minimal cut: removing them leaves exactly two
-    pieces, and the search decides whether they sit the way a flype
-    needs.
+    :func:`~vtangle.diagrams.cut_labels` must be 0.  Each black face lists
+    its edges in cycle order under the key (white face, cut label), so the
+    ``gamma`` of a ``delta`` is one lookup; edges that share a key (labels
+    repeat with self-energies) all stay listed.  This drops no site: the
+    piece an admissible frame cuts out is a vertex component once the four
+    edges are removed, so no other edge leaves it, and each of the four has
+    exactly one end in it; the four are then precisely the edges leaving a
+    vertex set, an edge cut, and edge cuts are the sets whose labels XOR to
+    0.  Only the frames that pass get the breadth-first search, which is
+    still needed to tell the inside of the cut from the outside.  Without
+    self-energies every cut has at least four edges (cuts have an even size
+    in a graph whose crossings all have four edge ends), so the four edges
+    of a passing frame are a minimal cut: removing them leaves exactly two
+    pieces, and the search decides whether they sit the way a flype needs.
     """
     # Both colors see one graph: tau^-1(e) // 2 == sigma^-1(e) // 2.
     lab = cut_labels(d.sigma)
-    out = []
-    for color in COLORS:
-        out.extend(_sites_one_color(d, color, lab))
-    return out
+    sigma, tau = d.sigma, d.tau
+    (s_faces, s_id), (t_faces, t_id) = _faces(sigma), _faces(tau)
+    return (_sites_one_color(d, "white", lab, sigma, tau, s_id, t_faces, t_id)
+            + _sites_one_color(d, "black", lab, tau, sigma, t_id, s_faces, s_id))
 
 
-def _sites_one_color(d: LinkDiagram, color: str, lab: list[int]) -> list[FlypeSite]:
-    s, t = _face_perms(d, color)
+def _faces(p: Perm) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The cycles of ``p`` and the number of the cycle through each label."""
+    cycs = cycles(p)
+    ids = [0] * len(p)
+    for k, cyc in enumerate(cycs):
+        for e in cyc:
+            ids[e] = k
+    return cycs, ids
+
+
+def _sites_one_color(d, color, lab, s, t, s_id, t_faces, t_id):
     s_inv = inverse(s)
     marked = d.n - 1 if isinstance(d, TangleDiagram) else None
 
-    t_cycle_of: dict[int, tuple[int, ...]] = {}
-    for cyc in cycles(t):
+    # Per t-face, its edges in cycle order under (s-face id, cut label).
+    index = []
+    for cyc in t_faces:
+        by_key: dict[tuple[int, int], list[int]] = {}
         for e in cyc:
-            t_cycle_of[e] = cyc
-    s_id = [0] * d.size
-    for k, cyc in enumerate(cycles(s)):
-        for e in cyc:
-            s_id[e] = k
+            by_key.setdefault((s_id[e], lab[e]), []).append(e)
+        index.append(by_key)
 
     sites = []
     for alpha in range(d.size):
@@ -129,13 +135,12 @@ def _sites_one_color(d: LinkDiagram, color: str, lab: list[int]) -> list[FlypeSi
         if len({alpha, beta, mu, nu}) < 4:
             continue
         frame = lab[mu] ^ lab[nu]
-        for delta in t_cycle_of[alpha]:
+        partners = index[t_id[beta]]
+        for delta in t_faces[t_id[alpha]]:
             if delta in (alpha, beta, mu, nu):
                 continue
-            for gamma in t_cycle_of[beta]:
+            for gamma in partners.get((s_id[delta], lab[delta] ^ frame), ()):
                 if gamma == delta or gamma in (alpha, beta, mu, nu):
-                    continue
-                if s_id[gamma] != s_id[delta] or lab[gamma] ^ lab[delta] != frame:
                     continue
                 sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
                 if sub is None:
@@ -257,7 +262,7 @@ def _rewire(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
     Trusts ``site`` to come from ``flype_sites(d)``; nothing here checks
     the frame again.
     """
-    s, t = _face_perms(d, site.color)
+    s, t = (d.sigma, d.tau) if site.color == "white" else (d.tau, d.sigma)
     alpha, beta, gamma, delta = site.alpha, site.beta, site.gamma, site.delta
     mu, nu = t[alpha], alpha ^ 1
     s_inv, t_inv = inverse(s), inverse(t)
@@ -295,6 +300,11 @@ def flype_classes(codes: Iterable[str]) -> list[FlypeClass]:
     since flypes preserve crossing number, genus, connectivity and
     self-energy freeness, the closure of a full census slice stays inside
     it.  Classes come back sorted by representative.
+
+    Sites with an empty ``subtangle`` are skipped.  There the piece is one
+    crossing that shares the bigon ``(mu, nu)`` with the crossing of
+    ``alpha``; the flype only swaps the two crossings of that twist, so its
+    image is the same diagram relabelled and canonicalises to the member.
     """
     pending = sorted(set(codes))
     heads = {code.split(":", 1)[0] for code in pending}
@@ -312,6 +322,8 @@ def flype_classes(codes: Iterable[str]) -> list[FlypeClass]:
             code = frontier.pop()
             d = _decode(code)
             for site in flype_sites(d):
+                if not site.subtangle:
+                    continue
                 image = canonical_diagram(_rewire(d, site)[0]).to_code()
                 if image not in members:
                     members.add(image)

@@ -106,15 +106,6 @@ def cycle_count(p: Perm) -> int:
     return count
 
 
-def cycle_type(p: Perm) -> tuple[int, ...]:
-    """Cycle lengths sorted decreasingly (a partition of ``len(p)``).
-
-    >>> cycle_type(parse_perm("3 4 1 6 2 7 0 5"))
-    (3, 3, 2)
-    """
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
-
-
 def is_involution(p: Perm) -> bool:
     return all(p[p[i]] == i for i in range(len(p)))
 
@@ -132,22 +123,6 @@ def rho_perm(size: int) -> Perm:
     if size % 2:
         raise ValueError(f"label set must have even size, got {size}")
     return tuple(i ^ 1 for i in range(size))
-
-
-def from_cycles(size: int, cycs: Iterable[Iterable[int]]) -> Perm:
-    """Build a permutation from a cycle list; omitted labels are fixed.
-
-    >>> from_cycles(4, [(0, 2), (1, 3)])
-    (2, 3, 0, 1)
-    """
-    out = list(range(size))
-    for cyc in cycs:
-        cyc = list(cyc)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if not (0 <= a < size):
-                raise ValueError(f"label {a} out of range for size {size}")
-            out[a] = b
-    return check_perm(out)
 
 
 def pair_normalizer(pairing: Perm) -> Perm:

@@ -27,7 +27,9 @@ face-sharing edges, against the census's rooted codes and the library's
 one-pass cut labels.  The census's resumed root scans are checked against
 a generator scan that reads every trace again from slot 0 on each prefix
 (``tied_roots``).  ``image_site`` names the flype that undoes a flype,
-for the round-trip tests.  The group-table file reader and writer are
+for the round-trip tests, and ``flype_classes_every_site`` is the class
+closure that rewires every flype site, bare crossings included, against
+the library's, which skips them.  The group-table file reader and writer are
 test plumbing.
 
 The morphism count is brute force too: every labelling of the arcs by
@@ -49,9 +51,10 @@ from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
 
+from vtangle.census import canonical_diagram
 from vtangle.codes import _roots
 from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
-from vtangle.flypes import FlypeSite, _rewire
+from vtangle.flypes import FlypeClass, FlypeSite, _decode, _rewire, flype_sites
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
     BRACKET_VARIABLES,
@@ -388,6 +391,18 @@ def cycle_type(perm) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
+def from_cycles(size: int, cycs) -> Perm:
+    """Build a permutation from a cycle list; omitted labels are fixed."""
+    out = list(range(size))
+    for cyc in cycs:
+        cyc = list(cyc)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not (0 <= a < size):
+                raise ValueError(f"label {a} out of range for size {size}")
+            out[a] = b
+    return check_perm(out)
+
+
 def _full_cycles(n2: int):
     """All permutations of 0..n2-1 consisting of one n2-cycle."""
     for rest in itertools.permutations(range(1, n2)):
@@ -667,6 +682,30 @@ def image_site(d: LinkDiagram, site: FlypeSite) -> FlypeSite:
         delta=g[site.beta],
         subtangle=frozenset(g[x] for x in site.subtangle),
     )
+
+
+def flype_classes_every_site(codes) -> list[FlypeClass]:
+    """``flype_classes`` by the closure that rewires every site, bare
+    crossings included, and canonicalises each image."""
+    classes = []
+    absorbed: set[str] = set()
+    for start in sorted(set(codes)):
+        if start in absorbed:
+            continue
+        members = {start}
+        frontier = [start]
+        while frontier:
+            d = _decode(frontier.pop())
+            for site in flype_sites(d):
+                image = canonical_diagram(_rewire(d, site)[0]).to_code()
+                if image not in members:
+                    members.add(image)
+                    frontier.append(image)
+        absorbed |= members
+        classes.append(FlypeClass(min(members), frozenset(members)))
+    classes.sort(key=lambda c: c.representative)
+    return classes
+
 
 # -- group multiplication-table files -------------------------------------------
 #

@@ -52,6 +52,7 @@ def test_deleted_modules_stay_deleted(module):
         "vtangle.codes:_compare",
         "vtangle.diagrams:_same_cycle_pairs",
         "vtangle.diagrams:_cycle_ids",
+        "vtangle.flypes:flype_classes_every_site",
         "vtangle.flypes:image_site",
         "vtangle.groups:load_group_table",
         "vtangle.groups:save_group_table",
@@ -60,6 +61,8 @@ def test_deleted_modules_stay_deleted(module):
         "vtangle.invariants:morphism_count_bruteforce",
         "vtangle.laurent:divexact",
         "vtangle.laurent:_det_bareiss",
+        "vtangle.perms:cycle_type",
+        "vtangle.perms:from_cycles",
         "vtangle.series:G2_of",
         "vtangle.series:G4_of",
     ],

@@ -7,10 +7,8 @@ from vtangle.perms import (
     compose,
     conjugate,
     cycle_count,
-    cycle_type,
     cycles,
     format_perm,
-    from_cycles,
     identity,
     inverse,
     is_fixed_point_free,
@@ -19,6 +17,8 @@ from vtangle.perms import (
     parse_perm,
     rho_perm,
 )
+
+from oracles import cycle_type, from_cycles
 
 perms = st.integers(1, 9).flatmap(lambda n: st.permutations(range(n)).map(tuple))
 even_perms = st.integers(1, 4).flatmap(
