@@ -1,11 +1,11 @@
 """Isomorph-free generation of canonical diagrams, with counting tables.
 
-The relabelling group of an ``n``-crossing diagram has order ``n! 2^n``
-(block permutations times block orientations); for tangles the marked block
-is fixed pointwise, leaving ``(n-1)! 2^(n-1)``.  Rather than filtering all
-of ``S_2n``, the search assigns ``sigma`` images position by position under
-the rule that keeps the partial assignment equal to its own rooted code at
-root 0 (new blocks must appear as the lowest unused even label).
+The relabelling group of an ``n``-crossing link diagram has order
+``n! 2^n`` (block permutations times block orientations).  Rather than
+filtering all of ``S_2n``, the search assigns ``sigma`` images position by
+position under the rule that keeps the partial assignment equal to its own
+rooted code at root 0 (new blocks must appear as the lowest unused even
+label).
 
 The search is orderly (Read-Faradzev; McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998): canonicity is tested on every
@@ -21,34 +21,31 @@ the branch as well: its labels form a closed piece, so the prefix has no
 connected completion (proof in :func:`_advance`).  At a leaf every slot is
 defined, so every leaf is canonical, each equivalence class surfaces
 exactly once, and the symmetry order is 1 plus the number of roots still
-tied.
+tied.  Only connected diagrams are enumerated.
 
-One search (:func:`_leaves`) serves links and tangles.  A tangle is a
-diagram with a marked block; a link is the unmarked case, where nothing
-is pending and no marked value is ever offered.  A scan can stall on
-pieces that hang off the marked crossing; the search then lets the
-marked values open the next block, mirroring the rooted-code rule, so
-connected tangles are produced without ever placing a block that nothing
-points at.  With no marked block a stall means a disconnected prefix, and
-the branch is pruned.  Only connected diagrams are enumerated.
+Tangles are rooted links.  A tangle with ``n`` real crossings is a link
+with ``n + 1`` crossings and a root label ``r``: the root's crossing is
+the marked one, with ``r`` and its partner as the marked block, fixed
+pointwise by the relabellings of a tangle.  Two roots give the same
+tangle exactly when a symmetry of the link maps one to the other, so each
+link yields one tangle per orbit of its labels, and a tangle has no
+symmetry left.  :func:`_rooted` moves one root per orbit to the top block
+and takes the marked canonical code.
 
 Per leaf the census checks connectivity on the bare tuple and the symmetry
 order, then builds the diagram, applies the self-energy filter and records
-genus and component count.  Link leaves come out in order.  Tangle
-leaves do not, so the tangle entries are sorted once they are built, which
-holds only the diagrams that pass the filter.
+genus and component count.  Link leaves come out in order.  Rooting
+reorders the labels, so the tangle entries are sorted once they are built.
 
 This recursive search is the only census generator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .perms import Perm
-from .codes import LARGER, SMALLER, canonical_code, resume, root_state
+from .perms import Perm, conjugate
+from .codes import LARGER, SMALLER, canonical_code, resume, root_state, rooted_code
 from .diagrams import (
     LinkDiagram,
     TangleDiagram,
@@ -86,12 +83,12 @@ def _advance(sigma: list[int], tied: list) -> list | None:
     equal one stays with its new state.
 
     A root whose scan runs dry before the last slot cuts the branch too.
-    Its discovered labels (the marked block included) are closed under the
-    block pairing, and every one of them has its image assigned and inside
-    the set.  Since ``sigma`` is injective the set is mapped onto itself,
-    by ``sigma`` and by ``tau(a) = sigma(a ^ 1)``, in every completion:
-    it is a union of crossings that misses at least one.  So no completion
-    is connected, and the census yields only connected leaves.
+    Its discovered labels are closed under the block pairing, and every
+    one of them has its image assigned and inside the set.  Since
+    ``sigma`` is injective the set is mapped onto itself, by ``sigma`` and
+    by ``tau(a) = sigma(a ^ 1)``, in every completion: it is a union of
+    crossings that misses at least one.  So no completion is connected,
+    and the census yields only connected leaves.
     """
     n2 = len(sigma)
     still = []
@@ -108,92 +105,39 @@ def _advance(sigma: list[int], tied: list) -> list | None:
     return still
 
 
-def _leaves(n2: int, marked: bool):
+def _leaves(n2: int):
     """``(sigma, symmetry)`` for the connected canonical sigma on ``n2`` labels.
 
     Slots are filled in order with values that are either already-opened
-    labels, the next fresh even label (opening a block), or a marked
-    label.  Every assignment resumes the ``tied`` states waiting on its
-    label and cuts the branch at the first smaller one (see
-    :func:`_advance`).
-
-    A stall (no block was forced into the next slot pair) leaves the
-    prefix a sealed piece.  For a link nothing later can reach it, so the
-    branch is cut.  For a tangle the pending marked slots take over,
-    exactly as in the rooted-code scan: the first one may open the stalled
-    block (value = stall position) or spend its value on an old label and
-    pass the stall to the second.  That only helps when some earlier slot
-    already took a marked value (``touched``): that is the bridge tying the
-    scanned prefix to the marked crossing.  Leftover values go to the
-    remaining marked slots at the end, where the states waiting on either
-    marked label are resumed together.  A link is the case with no marked
-    block: nothing is pending, and the leaf has nothing left to place.
+    labels or the next fresh even label (opening a block).  Every
+    assignment resumes the ``tied`` states waiting on its label and cuts
+    the branch at the first smaller one (see :func:`_advance`).  A stall
+    (no block was forced into the next slot pair) leaves the prefix a
+    sealed piece that nothing later can reach, so the branch is cut.
     Every leaf is connected.
     """
-    top = n2 - 2 if marked else n2
-    marks = range(top, n2)
     sigma = [-1] * n2
     used = [False] * n2
 
-    def rec(p: int, m: int, pending: tuple[int, ...], touched: bool, tied: list):
-        if p == top:
-            if not pending:
-                # Every slot is set and every state resumed.  A tangle gets
-                # here only when a stall opened a block from its last
-                # marked slot, so the marked crossing is not sealed off.
-                yield tuple(sigma), 1 + len(tied)
-                return
-            rest = [v for v in range(n2) if not used[v]]
-            if len(rest) != len(pending):
-                raise RuntimeError("leftover values do not match the pending marked slots")
-            for order in itertools.permutations(rest):
-                for q, v in zip(pending, order):
-                    sigma[q] = v
-                if sigma[top] >= top and sigma[top + 1] >= top:
-                    continue  # marked crossing sealed off from the rest
-                still = _advance(sigma, tied)
-                if still is not None:
-                    yield tuple(sigma), 1 + len(still)
-            for q in pending:
-                sigma[q] = -1
+    def rec(p: int, m: int, tied: list):
+        if p == n2:
+            yield tuple(sigma), 1 + len(tied)
             return
         if p > m:
-            if not pending or not touched:
-                return
-            q, tail = pending[0], pending[1:]
-            sigma[q] = p
-            still = _advance(sigma, tied)
-            if still is not None:
-                used[p] = True
-                yield from rec(p, p + 1, tail, touched, still)  # opens block {p, p+1}
-                used[p] = False
-            old = [v for v in range(m + 1) if not used[v]]
-            old += [v for v in marks if not used[v]]
-            for v in old:
-                sigma[q] = v
-                still = _advance(sigma, tied)
-                if still is not None:
-                    used[v] = True
-                    yield from rec(p, m, tail, touched, still)  # stall passes along
-                    used[v] = False
-            sigma[q] = -1
             return
         choices = [v for v in range(m + 1) if not used[v]]
-        if m + 1 < top:
+        if m + 1 < n2:
             choices.append(m + 1)
-        choices += [v for v in marks if not used[v]]
         for v in choices:
             sigma[p] = v
             still = _advance(sigma, tied)
             if still is not None:
                 used[v] = True
-                opens = v == m + 1 and v < top
-                yield from rec(p + 1, m + 2 if opens else m, pending, touched or v >= top, still)
+                yield from rec(p + 1, m + 2 if v == m + 1 else m, still)
                 used[v] = False
         sigma[p] = -1
 
-    tied = [root_state(n2, r, marked) for r in range(1, top)]
-    yield from rec(0, 1, tuple(marks), False, tied)
+    yield from rec(0, 1, [root_state(n2, r) for r in range(1, n2)])
 
 
 @dataclass(frozen=True)
@@ -211,43 +155,75 @@ class CensusEntry:
 def enumerate_diagrams(n: int, mode: str = "link", *, no_self_energy: bool = True):
     """Stream of connected canonical diagrams with ``n`` crossings, one per class.
 
-    For tangles ``n`` counts *real* crossings (the marked one is extra).
+    For tangles ``n`` counts *real* crossings (the marked one is extra);
+    they are the rooted links with ``n + 1`` crossings (:func:`_rooted`).
     Entries come out sorted by the ``sigma`` tuple, which is not the
     string order of their codes once labels reach two digits.  Each entry
-    carries genus, component count and the symmetry order (for tangles the
-    stabilizer is checked to be trivial, so symmetry is always 1 there).
+    carries genus, component count and the symmetry order (1 for every
+    tangle, whose root is fixed).
     """
     if mode not in ("link", "tangle"):
         raise ValueError(f"mode must be 'link' or 'tangle': {mode!r}")
     if n < 1:
         raise ValueError("need at least one crossing")
-    marked = mode == "tangle"
-    entries = _entries(_leaves(2 * n + 2 * marked, marked), n, marked, no_self_energy)
-    # Stall decisions write the marked slots out of tuple order, so the
-    # tangle stream needs an explicit sort to come out lexicographic.
-    if marked:
-        entries = sorted(entries, key=lambda e: e.diagram.sigma)
-    yield from entries
+    if mode == "link":
+        yield from _entries(_leaves(2 * n), n, no_self_energy)
+        return
+    links = _entries(_leaves(2 * n + 2), n + 1, no_self_energy)
+    yield from sorted(_rooted(links), key=lambda e: e.diagram.sigma)
 
 
-def _entries(leaves, n: int, marked: bool, no_self_energy: bool):
-    """Census entries for the ``(sigma, symmetry)`` leaves, after the leaf
-    checks and the self-energy filter."""
-    roots = 2 * n  # every label off the marked block
+def _entries(leaves, n: int, no_self_energy: bool):
+    """Link census entries for the ``(sigma, symmetry)`` leaves, after the
+    leaf checks and the self-energy filter."""
     for sigma, mult in leaves:
         if not _sigma_is_connected(sigma):
             raise RuntimeError("generator let a disconnected diagram through")
-        if marked and mult != 1:
-            raise RuntimeError("connected tangle with nontrivial stabilizer")
-        if roots % mult:
-            raise RuntimeError(f"symmetry order {mult} does not divide {roots} roots")
-        if marked:
-            d: LinkDiagram = TangleDiagram(n + 1, sigma)
-        else:
-            d = LinkDiagram(n, sigma)
+        if (2 * n) % mult:
+            raise RuntimeError(f"symmetry order {mult} does not divide {2 * n} roots")
+        d = LinkDiagram(n, sigma)
         if no_self_energy and has_self_energy(d):
             continue
         yield CensusEntry(d, genus(d), component_count(d), mult)
+
+
+def _rooted(links):
+    """Tangle entries for the link entries: one per orbit of root labels.
+
+    A symmetry of the link maps a root to one with the same rooted code,
+    and roots with equal codes are mapped onto each other by one, so the
+    distinct codes stand for the orbits; an asymmetric link has one orbit
+    per label.  The orbits times the symmetry order must give every label.
+    Each root is moved to the top block, the link's genus and components
+    carry over, and self-energies need no second test: both are
+    properties of the unlabelled diagram.
+    """
+    for e in links:
+        sigma = e.diagram.sigma
+        n2 = len(sigma)
+        if e.symmetry == 1:
+            roots = range(n2)
+        else:
+            roots = {rooted_code(sigma, r): r for r in range(n2)}.values()
+        if len(roots) * e.symmetry != n2:
+            raise RuntimeError(
+                f"{len(roots)} root orbits with symmetry order {e.symmetry} miss {n2} labels"
+            )
+        for r in roots:
+            code = canonical_code(_root_on_top(sigma, r), marked=True)
+            yield CensusEntry(TangleDiagram(e.diagram.n, code), e.genus, e.components, 1)
+
+
+def _root_on_top(sigma: Perm, r: int) -> Perm:
+    """``sigma`` relabelled so that ``r`` is the top label ``2n - 2`` and its
+    partner ``2n - 1``; the top block takes the place of ``r``'s."""
+    top = len(sigma) - 2
+    g = list(range(len(sigma)))
+    b = r & ~1
+    if b != top:
+        g[top], g[top + 1] = b, b + 1
+    g[r], g[r ^ 1] = top, top + 1
+    return conjugate(tuple(g), sigma)
 
 
 # -- counting ----------------------------------------------------------------
@@ -276,16 +252,3 @@ def count_table(n_max: int, mode: str = "link", *, no_self_energy: bool = True) 
             key = (n, entry.genus)
             table.counts[key] = table.counts.get(key, 0) + 1
     return table
-
-
-def weighted_link_counts(n_max: int) -> dict[tuple[int, int], Fraction]:
-    """Sum of 1/symmetry over connected link diagrams, by (n, genus).
-
-    Self-energies are allowed here: these are the free-energy weights.
-    """
-    out: dict[tuple[int, int], Fraction] = {}
-    for n in range(1, n_max + 1):
-        for entry in enumerate_diagrams(n, "link", no_self_energy=False):
-            key = (n, entry.genus)
-            out[key] = out.get(key, Fraction(0)) + Fraction(1, entry.symmetry)
-    return out

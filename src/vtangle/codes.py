@@ -27,16 +27,15 @@ label whose image is unassigned, or where the scan runs dry.
 :func:`rooted_code` and :func:`canonical_code_stats` run it on complete
 ``sigma``; slots the code leaves open (-1) are written from the trace.
 
-The scan also runs on a partial ``sigma`` whose unassigned slots hold -1,
-as long as the assigned slots are a prefix plus, for marked diagrams, any
-of the two marked slots.  It waits at the first label whose image it
-needs and does not have, so the slots it has read are a prefix of the
-trace of every completion.  That partial trace never runs past the
-assigned prefix: its first ``L`` slots hold ``L`` labels with assigned
-images, and marked labels only occupy the top two slots.  So the code it
-is compared with is defined wherever the scan reads.  Assigning another
-image changes only the states waiting on that label; the census resumes
-just those after each assignment.
+Unmarked scans also run on a partial ``sigma`` whose assigned slots are
+a prefix and whose other slots hold -1.  Such a scan waits at the first
+label whose image it needs and does not have, so the slots it has read
+are a prefix of the trace of every completion.  That partial trace never
+runs past the assigned prefix: its first ``L`` slots hold ``L`` labels
+with assigned images.  So the code it is compared with is defined
+wherever the scan reads.  Assigning another image changes only the
+states waiting on that label; the census resumes just those after each
+assignment.  Marked scans run on complete ``sigma`` only.
 """
 
 from __future__ import annotations
@@ -96,10 +95,7 @@ def resume(sigma, code, state):
             # the marked values open the next block.
             if not pending:
                 return -1, p, free, g, occ, pending
-            u = pending[0]
-            v = sigma[u]
-            if v < 0:
-                return u, p, free, g, occ, pending
+            v = sigma[pending[0]]
             pending = pending[1:]
             if g[v] < 0:
                 g[v] = free

@@ -333,13 +333,6 @@ def transform(d: LinkDiagram, kind: str) -> LinkDiagram:
     return LinkDiagram(d.n, conjugate(g, raw))
 
 
-def relabel(d: LinkDiagram, g: Perm) -> LinkDiagram:
-    """Conjugate the diagram by a relabelling ``g`` (must preserve blocks)."""
-    if conjugate(g, rho_perm(len(g))) != rho_perm(len(g)):
-        raise ValueError("relabelling does not preserve the block pairing")
-    return type(d)(d.n, conjugate(g, d.sigma))
-
-
 # -- orientations and crossing signs ----------------------------------------
 
 

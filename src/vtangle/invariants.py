@@ -118,17 +118,6 @@ def _twist_normalised(b: MultiLaurentPoly, t: int) -> MultiLaurentPoly:
     return _amono(-1 if t % 2 else 1, -3 * t) * b
 
 
-def jones_span(p: MultiLaurentPoly) -> int:
-    """Width of the exponent range in powers of a^4."""
-    if not p.terms:
-        return 0
-    powers = [e[0] for e in p.terms]
-    width = max(powers) - min(powers)
-    if width % 4:
-        raise ValueError("bracket exponents should agree mod 4")
-    return width // 4
-
-
 # -- extended Alexander module -----------------------------------------------
 
 

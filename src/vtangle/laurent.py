@@ -9,8 +9,7 @@ monomial" comparable.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from fractions import Fraction
+from collections.abc import Sequence
 
 
 class MultiLaurentPoly:
@@ -153,58 +152,6 @@ class MultiLaurentPoly:
 
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
-
-    def evaluate(self, assignment: Mapping[str, object]):
-        """Substitute values for some or all variables.
-
-        Values may be integers, fractions, or polynomials (all polynomial
-        values must share one variable tuple).  With every variable
-        assigned a scalar the result is a scalar; otherwise it is a
-        polynomial in the remaining (or the substituted polynomials')
-        variables.  Negative exponents of scalar values go through exact
-        fractions.
-        """
-        unknown = set(assignment) - set(self.variables)
-        if unknown:
-            raise ValueError(f"not variables of this polynomial: {sorted(unknown)}")
-        poly_values = [v for v in assignment.values() if isinstance(v, MultiLaurentPoly)]
-        remaining = [v for v in self.variables if v not in assignment]
-        if poly_values:
-            target = poly_values[0].variables
-            if any(p.variables != target for p in poly_values):
-                raise ValueError("substituted polynomials disagree on variables")
-            if remaining:
-                raise ValueError("mixing leftover variables with polynomial values")
-            out = MultiLaurentPoly.zero(target)
-            for exps, coeff in self.terms.items():
-                term = MultiLaurentPoly.constant(coeff, target)
-                for name, e in zip(self.variables, exps):
-                    v = assignment[name]
-                    if not isinstance(v, MultiLaurentPoly):
-                        v = MultiLaurentPoly.constant(v, target)
-                    term = term * v**e
-                out = out + term
-            return out
-        if remaining:
-            idx = [i for i, v in enumerate(self.variables) if v in assignment]
-            keep = [i for i, v in enumerate(self.variables) if v not in assignment]
-            out = {}
-            for exps, coeff in self.terms.items():
-                factor = Fraction(coeff)
-                for i in idx:
-                    factor *= Fraction(assignment[self.variables[i]]) ** exps[i]
-                if factor.denominator != 1:
-                    raise ValueError("partial evaluation left fractional coefficients")
-                e = tuple(exps[i] for i in keep)
-                out[e] = out.get(e, 0) + int(factor)
-            return MultiLaurentPoly([self.variables[i] for i in keep], out)
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for name, e in zip(self.variables, exps):
-                term *= Fraction(assignment[name]) ** e
-            total += term
-        return int(total) if total.denominator == 1 else total
 
     # -- rendering -----------------------------------------------------------
 

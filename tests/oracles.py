@@ -30,7 +30,10 @@ a generator scan that reads every trace again from slot 0 on each prefix
 for the round-trip tests, and ``flype_classes_every_site`` is the class
 closure that rewires every flype site, bare crossings included, against
 the library's, which skips them.  The group-table file reader and writer are
-test plumbing.
+test plumbing, and so are ``relabel`` (conjugation by a block-preserving
+relabelling), ``weighted_link_counts`` (the census weights that meet the
+free energies), ``jones_span`` and ``evaluate`` (substitution into a
+Laurent polynomial): only tests call them.
 
 The morphism count is brute force too: every labelling of the arcs by
 permutation tuples, each crossing relation checked by composing them,
@@ -46,12 +49,13 @@ with its exact polynomial division, checks the cofactor determinant.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
 
-from vtangle.census import canonical_diagram
+from vtangle.census import canonical_diagram, enumerate_diagrams
 from vtangle.codes import _roots
 from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
 from vtangle.flypes import FlypeClass, FlypeSite, _decode, _rewire, flype_sites
@@ -69,7 +73,7 @@ from vtangle.invariants import (
     _rotation_of,
 )
 from vtangle.laurent import MultiLaurentPoly
-from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse
+from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse, rho_perm
 from vtangle.series import F_genus, GenusSeries, QSeries, compose_rows
 
 
@@ -492,6 +496,26 @@ def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
     )
 
 
+def relabel(d: LinkDiagram, g: Perm) -> LinkDiagram:
+    """Conjugate the diagram by a relabelling ``g`` (must preserve blocks)."""
+    if conjugate(g, rho_perm(len(g))) != rho_perm(len(g)):
+        raise ValueError("relabelling does not preserve the block pairing")
+    return type(d)(d.n, conjugate(g, d.sigma))
+
+
+def weighted_link_counts(n_max: int) -> dict[tuple[int, int], Fraction]:
+    """Sum of 1/symmetry over connected link diagrams, by (n, genus).
+
+    Self-energies are allowed here: these are the free-energy weights.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    for n in range(1, n_max + 1):
+        for entry in enumerate_diagrams(n, "link", no_self_energy=False):
+            key = (n, entry.genus)
+            out[key] = out.get(key, Fraction(0)) + Fraction(1, entry.symmetry)
+    return out
+
+
 # The rooted-trace scan as a generator that reads a root's trace from slot
 # 0 on every call, with the tie-break search inline.  It shares no code
 # with the resumable states of ``vtangle.codes``, which the census keeps
@@ -860,6 +884,17 @@ def bracket_by_loop_walk(d: LinkDiagram) -> MultiLaurentPoly:
     return _loop_state_sum(_rotation_of(d))
 
 
+def jones_span(p: MultiLaurentPoly) -> int:
+    """Width of the exponent range of a bracket in powers of a^4."""
+    if not p.terms:
+        return 0
+    powers = [e[0] for e in p.terms]
+    width = max(powers) - min(powers)
+    if width % 4:
+        raise ValueError("bracket exponents should agree mod 4")
+    return width // 4
+
+
 # -- determinants: Bareiss elimination ----------------------------------------------
 
 
@@ -927,3 +962,56 @@ def divexact(a: MultiLaurentPoly, b: MultiLaurentPoly) -> MultiLaurentPoly:
         a.variables,
         {tuple(x + s for x, s in zip(e, unshift)): c for e, c in quot.items()},
     )
+
+
+def evaluate(p: MultiLaurentPoly, assignment: Mapping[str, object]):
+    """Substitute values for some or all variables of ``p``.
+
+    Values may be integers, fractions, or polynomials (all polynomial
+    values must share one variable tuple).  With every variable
+    assigned a scalar the result is a scalar; otherwise it is a
+    polynomial in the remaining (or the substituted polynomials')
+    variables.  Negative exponents of scalar values go through exact
+    fractions.
+    """
+    unknown = set(assignment) - set(p.variables)
+    if unknown:
+        raise ValueError(f"not variables of this polynomial: {sorted(unknown)}")
+    poly_values = [v for v in assignment.values() if isinstance(v, MultiLaurentPoly)]
+    remaining = [v for v in p.variables if v not in assignment]
+    if poly_values:
+        target = poly_values[0].variables
+        if any(q.variables != target for q in poly_values):
+            raise ValueError("substituted polynomials disagree on variables")
+        if remaining:
+            raise ValueError("mixing leftover variables with polynomial values")
+        out = MultiLaurentPoly.zero(target)
+        for exps, coeff in p.terms.items():
+            term = MultiLaurentPoly.constant(coeff, target)
+            for name, e in zip(p.variables, exps):
+                v = assignment[name]
+                if not isinstance(v, MultiLaurentPoly):
+                    v = MultiLaurentPoly.constant(v, target)
+                term = term * v**e
+            out = out + term
+        return out
+    if remaining:
+        idx = [i for i, v in enumerate(p.variables) if v in assignment]
+        keep = [i for i, v in enumerate(p.variables) if v not in assignment]
+        out = {}
+        for exps, coeff in p.terms.items():
+            factor = Fraction(coeff)
+            for i in idx:
+                factor *= Fraction(assignment[p.variables[i]]) ** exps[i]
+            if factor.denominator != 1:
+                raise ValueError("partial evaluation left fractional coefficients")
+            e = tuple(exps[i] for i in keep)
+            out[e] = out.get(e, 0) + int(factor)
+        return MultiLaurentPoly([p.variables[i] for i in keep], out)
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for name, e in zip(p.variables, exps):
+            term *= Fraction(assignment[name]) ** e
+        total += term
+    return int(total) if total.denominator == 1 else total

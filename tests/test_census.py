@@ -28,9 +28,8 @@ from vtangle.census import (
     canonical_form,
     count_table,
     enumerate_diagrams,
-    weighted_link_counts,
 )
-from vtangle.codes import _roots, canonical_code_stats, resume, root_state, rooted_code
+from vtangle.codes import canonical_code_stats, resume, root_state, rooted_code
 from vtangle.diagrams import LinkDiagram, TangleDiagram, genus, is_connected
 from vtangle.perms import conjugate
 from vtangle.series import F_genus, gamma_genus
@@ -44,6 +43,7 @@ from oracles import (
     relabelling_elements,
     tied_roots,
     trace,
+    weighted_link_counts,
 )
 
 # Counts per (crossings, genus) lifted from the acceptance tables; the
@@ -166,67 +166,56 @@ def test_early_exit_canonicity_matches_the_full_minimum(mode, n):
     assert canonical < len(inputs) or (mode, n) == ("link", 1)
 
 
-def library_partial_trace(partial, r, marked):
+def library_partial_trace(partial, r):
     """The slots a root state reads of ``partial`` before it waits or runs
     dry, and whether it ran dry."""
     code = [-1] * len(partial)
-    st = resume(partial, code, root_state(len(partial), r, marked))
+    st = resume(partial, code, root_state(len(partial), r))
     return tuple(v for v in code if v >= 0), st[0] < 0 and st[1] < len(partial)
 
 
-def check_partial_traces(sigma, partial, marked):
-    """Each root's partial trace stays within the assigned prefix of
-    ``partial`` and is a prefix of the root's full code on ``sigma``; the
-    library's resumable scan reads the same slots up to where it runs dry."""
-    for r in range(len(sigma) - 2 * marked):
-        full = tuple(trace(partial, r, marked))
+def prefix(sigma, k):
+    """``sigma`` with every slot from ``k`` on unassigned."""
+    return list(sigma[:k]) + [-1] * (len(sigma) - k)
+
+
+def check_partial_traces(sigma, k):
+    """Each root's partial trace on ``prefix(sigma, k)`` stays within the
+    assigned prefix and is a prefix of the root's full code on ``sigma``;
+    the library's resumable scan reads the same slots up to where it runs
+    dry."""
+    partial = prefix(sigma, k)
+    for r in range(len(sigma)):
+        full = tuple(trace(partial, r, False))
         assert all(v >= 0 for v in partial[: len(full)])
-        assert full == rooted_code(sigma, r, marked)[: len(full)]
-        got, dry = library_partial_trace(partial, r, marked)
+        assert full == rooted_code(sigma, r)[: len(full)]
+        got, dry = library_partial_trace(partial, r)
         assert got == full[: len(got)]
         assert dry or got == full
 
 
-def partials(sigma, k, marked):
-    """``sigma`` with every slot from ``k`` on unassigned; marked ones also
-    with either marked slot kept, as the tangle stall branches leave it."""
-    size = len(sigma)
-    for keep in itertools.product((False, True), repeat=2 if marked else 0):
-        partial = list(sigma[:k]) + [-1] * (size - k)
-        for q, kept in zip((size - 2, size - 1), keep):
-            if kept:
-                partial[q] = sigma[q]
-        yield partial
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(mode, size) for mode in ("link", "tangle") for size in (4, 6, 8, 10)]),
-       st.data())
-def test_partial_trace_is_a_prefix_of_the_full_code(case, data):
-    mode, size = case
-    marked = mode == "tangle"
+@given(st.sampled_from((4, 6, 8, 10)), st.data())
+def test_partial_trace_is_a_prefix_of_the_full_code(size, data):
     sigma = tuple(data.draw(st.permutations(range(size))))
-    for partial in partials(sigma, data.draw(st.integers(0, size)), marked):
-        check_partial_traces(sigma, partial, marked)
+    check_partial_traces(sigma, data.draw(st.integers(0, size)))
 
 
-@pytest.mark.parametrize("mode,size", [("link", 4), ("link", 6), ("tangle", 4), ("tangle", 6)])
+@pytest.mark.parametrize("mode,size", [("link", 4), ("link", 6)])
 def test_partial_trace_is_a_prefix_of_the_full_code_exhaustively(mode, size):
-    marked = mode == "tangle"
     for sigma in itertools.permutations(range(size)):
         for k in range(size + 1):
-            for partial in partials(sigma, k, marked):
-                check_partial_traces(sigma, partial, marked)
+            check_partial_traces(sigma, k)
 
 
-def resumed_tied_roots(partial, marked):
+def resumed_tied_roots(partial):
     """Feed the assigned slots of ``partial`` to the census's ``_advance``
-    one at a time, marked slots last, starting from every root; the roots
-    still tied, or None when the branch is cut."""
+    one at a time, starting from every root; the roots still tied, or None
+    when the branch is cut."""
     n2 = len(partial)
     sigma = [-1] * n2
-    tied = [root_state(n2, r, marked) for r in _roots(partial, marked)]
-    for q in sorted(range(n2), key=lambda q: (marked and q >= n2 - 2, q)):
+    tied = [root_state(n2, r) for r in range(n2)]
+    for q in range(n2):
         if partial[q] >= 0:
             sigma[q] = partial[q]
             tied = _advance(sigma, tied)
@@ -235,39 +224,36 @@ def resumed_tied_roots(partial, marked):
     return sorted(st[4][0] for st in tied)  # occ[0] is the root
 
 
-def has_no_connected_completion(partial, marked):
+def has_no_connected_completion(partial):
     """Some root's scan of ``partial`` runs dry, and its discovered labels
     form a closed proper subset: images assigned and inside the set."""
     n2 = len(partial)
-    for r in _roots(partial, marked):
-        st = resume(partial, [-1] * n2, root_state(n2, r, marked))
+    for r in range(n2):
+        st = resume(partial, [-1] * n2, root_state(n2, r))
         if st[0] < 0 and st[1] < n2:
             found = {u for u in range(n2) if st[3][u] >= 0}
             return len(found) < n2 and all(partial[u] in found for u in found)
     return False
 
 
-@pytest.mark.parametrize(
-    "mode,n", [("link", n) for n in range(1, 5)] + [("tangle", n) for n in range(1, 4)]
-)
+@pytest.mark.parametrize("mode,n", [("link", n) for n in range(1, 5)])
 def test_resumed_root_states_match_tied_roots_on_every_prefix(mode, n):
     """Resuming root states slot by slot gives what re-reading every trace
     from slot 0 gives, on every prefix of every root-normal permutation.
     The only difference allowed is a cut where a root's scan runs dry: the
     prefix then has no connected completion, and the census drops it."""
-    marked = mode == "tangle"
     dry_cuts = 0
     for sigma in root_normal_perms(mode, n):
-        for k in range(len(sigma) - 2 * marked + 1):
-            for partial in partials(sigma, k, marked):
-                got = resumed_tied_roots(partial, marked)
-                want = tied_roots(partial, _roots(partial, marked), marked)
-                if got is None and want is not None:
-                    assert has_no_connected_completion(partial, marked), partial
-                    assert not _sigma_is_connected(sigma)
-                    dry_cuts += 1
-                else:
-                    assert got == want, partial
+        for k in range(len(sigma) + 1):
+            partial = prefix(sigma, k)
+            got = resumed_tied_roots(partial)
+            want = tied_roots(partial, range(len(sigma)))
+            if got is None and want is not None:
+                assert has_no_connected_completion(partial), partial
+                assert not _sigma_is_connected(sigma)
+                dry_cuts += 1
+            else:
+                assert got == want, partial
     assert dry_cuts > 0 or n == 1
 
 
@@ -311,14 +297,19 @@ def bruteforce_canonical_leaves(mode, n):
 
 
 def leaves(mode, n):
-    marked = mode == "tangle"
-    return _leaves(2 * n + 2 * marked, marked)
+    """``(sigma, symmetry)`` from the link search, or of the tangles rooted
+    on its links (self-energies kept, like the brute force)."""
+    if mode == "link":
+        return _leaves(2 * n)
+    return ((e.diagram.sigma, e.symmetry) for e in enumerate_diagrams(n, mode, no_self_energy=False))
 
 
 @pytest.mark.parametrize(
     "mode,n", [("link", n) for n in range(1, 5)] + [("tangle", n) for n in range(1, 4)]
 )
 def test_pruned_generator_yields_exactly_the_canonical_leaves(mode, n):
+    """For tangles the leaves are the marked canonical codes of the rooted
+    links: every connected tangle once, each with a trivial stabilizer."""
     got = list(leaves(mode, n))
     assert len(got) == len(set(got))
     assert set(got) == bruteforce_canonical_leaves(mode, n)
@@ -420,9 +411,11 @@ def test_raw_connectivity_guard_matches_is_connected():
 
 
 def test_symmetric_tangle_leaf_raises(monkeypatch):
-    leaves = lambda n2, marked: ((sigma, 2) for sigma, _ in _leaves(n2, marked))
+    """A link leaf that claims a symmetry its root orbits do not show makes
+    the tangle route raise: orbits times symmetry must cover every label."""
+    leaves = lambda n2: ((sigma, 2) for sigma, _ in _leaves(n2))
     monkeypatch.setattr("vtangle.census._leaves", leaves)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="root orbits"):
         list(enumerate_diagrams(2, "tangle"))
 
 
@@ -568,9 +561,9 @@ def test_rooted_links_equal_the_gamma_rows(census, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tangle_census_counts_the_rooted_links(census, n):
-    """The marked and the unmarked branch of the one generator agree: per
-    genus, the tangles with n real crossings are the rooted links with
-    n + 1 crossings."""
+    """Rooting each link once per orbit of its labels gives 2(n + 1)/symmetry
+    tangles: per genus, the tangles with n real crossings are the rooted
+    links with n + 1 crossings."""
     tangles = {h: len(row) for h, row in census(n, "tangle").items()}
     assert tangles == rooted_link_counts(census, n + 1)
 

@@ -23,7 +23,6 @@ from vtangle.diagrams import (
     has_self_energy,
     is_connected,
     orientations,
-    relabel,
     strand_components,
     symmetry_order,
     tangle_type,
@@ -40,7 +39,7 @@ from vtangle.perms import (
     rho_perm,
 )
 
-from oracles import relabelling_elements, self_energy_pairwise
+from oracles import relabel, relabelling_elements, self_energy_pairwise
 
 EXAMPLE = LinkDiagram.from_code("4:3 4 1 6 2 7 0 5")
 

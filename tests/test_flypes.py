@@ -13,7 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtangle.census import canonical_diagram, canonical_form, enumerate_diagrams
+from vtangle.census import _rooted, canonical_diagram, canonical_form, enumerate_diagrams
 from vtangle.diagrams import (
     LinkDiagram,
     TangleDiagram,
@@ -352,6 +352,21 @@ def test_tangle_six_classes_match_the_series(census):
     assert sorted(by_genus) == [0, 1, 2, 3]
     got = [len(flype_classes(codes(census, 6, "tangle", h))) for h in range(4)]
     assert got == [gamma_tilde(h, 6)[6] for h in range(4)] == [98, 16158, 100910, 62072]
+
+
+@pytest.mark.slow
+def test_rooted_eight_crossing_links_meet_the_series(census):
+    """Both routes one crossing past the paper's tables.  The self-energy-free
+    links with eight crossings, rooted (16/symmetry each), against
+    Gamma_h[7] = 1938 / 140479 / 1240518 / 1740158 / 200589, and the flype
+    classes of the genus-0 tangles rooted on them against Gamma~_0[7] = 372."""
+    links = census(8, "link")
+    rooted = {h: sum(16 // e.symmetry for e in row) for h, row in links.items()}
+    assert rooted == {h: gamma_genus(h, 7)[7] for h in range(5)}
+    assert [rooted[h] for h in range(5)] == [1938, 140479, 1240518, 1740158, 200589]
+    tangles = [e.code for e in _rooted(links[0])]
+    assert len(tangles) == rooted[0]
+    assert len(flype_classes(tangles)) == gamma_tilde(0, 7)[7] == 372
 
 
 def test_every_member_of_a_merged_class_reaches_the_others(census):

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from vtangle.census import enumerate_diagrams
-from vtangle.diagrams import TangleDiagram, relabel, transform
+from vtangle.diagrams import TangleDiagram, transform
 from vtangle.flypes import flype_classes
 from vtangle.groups import FiniteGroup, builtin_groups
 from vtangle.invariants import (
@@ -22,7 +22,6 @@ from vtangle.invariants import (
     cable_rotation,
     cabled_jones,
     group_morphism_count,
-    jones_span,
     link_record,
 )
 from vtangle.laurent import MultiLaurentPoly
@@ -30,7 +29,9 @@ from vtangle.laurent import MultiLaurentPoly
 from oracles import (
     _loop_state_sum,
     bracket_by_permutations,
+    jones_span,
     morphism_count_bruteforce,
+    relabel,
     relabelling_elements,
 )
 
