@@ -66,10 +66,6 @@ def canonical_form(d: LinkDiagram) -> Perm:
     return canonical_code(d.sigma, marked=isinstance(d, TangleDiagram))
 
 
-def canonical_diagram(d: LinkDiagram) -> LinkDiagram:
-    return type(d)(d.n, canonical_form(d))
-
-
 # -- generation --------------------------------------------------------------
 
 

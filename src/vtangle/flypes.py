@@ -24,9 +24,10 @@ the key that makes the four labels XOR to 0, so only those frames get
 the breadth-first search that tells the piece from the rest.
 
 That search is the only admissibility test: :func:`apply_flype` accepts
-a site exactly when :func:`flype_sites` lists it.  :func:`flype_classes`
-rewires the sites it uses without checking the frame again, and skips
-those whose piece is a bare crossing, whose image is the diagram itself.
+a site exactly when :func:`flype_sites` lists it.  The search knows only
+links: a tangle is a link rooted at its marked crossing, whose flypes are
+the link's flypes that leave that crossing in place.  :func:`flype_classes`
+searches each link once, with the tangles on it as its roots.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .census import canonical_diagram
+from .codes import canonical_code, rooted_code
 from .diagrams import LinkDiagram, TangleDiagram, cut_labels
-from .perms import Perm, compose, conjugate, cycles, inverse, pair_normalizer
+from .perms import Perm, compose, conjugate, cycles, inverse, pair_normalizer, parse_perm
 
 COLORS = ("white", "black")
 
@@ -79,7 +80,8 @@ def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
     genuine subtangle from the crossing of ``alpha``, and that subtangle,
     closed up on its own, must be planar.  Black sites are the same with
     the two face permutations exchanged.  Expects a connected diagram
-    without self-energies; a tangle's marked crossing never takes part.
+    without self-energies.  A tangle's sites are those of its link whose
+    moved crossings (:func:`_moved`) miss the marked one, in the same order.
 
     The cut is tested in two steps.  First the XOR of the four edges'
     :func:`~vtangle.diagrams.cut_labels` must be 0.  Each black face lists
@@ -101,8 +103,17 @@ def flype_sites(d: LinkDiagram) -> list[FlypeSite]:
     lab = cut_labels(d.sigma)
     sigma, tau = d.sigma, d.tau
     (s_faces, s_id), (t_faces, t_id) = _faces(sigma), _faces(tau)
-    return (_sites_one_color(d, "white", lab, sigma, tau, s_id, t_faces, t_id)
-            + _sites_one_color(d, "black", lab, tau, sigma, t_id, s_faces, s_id))
+    sites = (_sites_one_color(d, "white", lab, sigma, tau, s_id, t_faces, t_id)
+             + _sites_one_color(d, "black", lab, tau, sigma, t_id, s_faces, s_id))
+    if isinstance(d, TangleDiagram):
+        sites = [site for site in sites if d.n - 1 not in _moved(d, site)]
+    return sites
+
+
+def _moved(d: LinkDiagram, site: FlypeSite) -> set[int]:
+    """Crossings a flype moves: ``alpha``'s, ``mu``'s and the piece's."""
+    mu = d.sigma[site.alpha ^ 1] if site.color == "white" else d.sigma[site.alpha]
+    return {site.alpha // 2, mu // 2} | {x // 2 for x in site.subtangle}
 
 
 def _faces(p: Perm) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
@@ -117,7 +128,6 @@ def _faces(p: Perm) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
 
 def _sites_one_color(d, color, lab, s, t, s_id, t_faces, t_id):
     s_inv = inverse(s)
-    marked = d.n - 1 if isinstance(d, TangleDiagram) else None
 
     # Per t-face, its edges in cycle order under (s-face id, cut label).
     index = []
@@ -129,8 +139,6 @@ def _sites_one_color(d, color, lab, s, t, s_id, t_faces, t_id):
 
     sites = []
     for alpha in range(d.size):
-        if alpha // 2 == marked:
-            continue
         beta, mu, nu = s[alpha], t[alpha], alpha ^ 1
         if len({alpha, beta, mu, nu}) < 4:
             continue
@@ -142,7 +150,7 @@ def _sites_one_color(d, color, lab, s, t, s_id, t_faces, t_id):
             for gamma in partners.get((s_id[delta], lab[delta] ^ frame), ()):
                 if gamma == delta or gamma in (alpha, beta, mu, nu):
                     continue
-                sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
+                sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta)
                 if sub is None:
                     continue
                 if _closed_genus(s, t, sub, gamma, delta, mu, nu) != 0:
@@ -151,7 +159,7 @@ def _sites_one_color(d, color, lab, s, t, s_id, t_faces, t_id):
     return sites
 
 
-def _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked):
+def _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta):
     """Edge set of the piece the move would flip, or None if the cut fails.
 
     Removing ``mu``, ``nu``, ``gamma``, ``delta`` must leave the crossing of
@@ -162,14 +170,8 @@ def _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked):
     same-face membership conditions alone are vacuous (faces merge), and
     a frame whose arcs wander off the pattern is not a flype.
     """
-    v = alpha // 2
-    if marked is not None and v == marked:
-        return None
-    cut = (mu, nu, gamma, delta)
-    inside = _vertex_component(s, s_inv, mu // 2, cut)
-    if v in inside or s_inv[nu] // 2 not in inside:
-        return None
-    if marked is not None and marked in inside:
+    inside = _vertex_component(s, s_inv, mu // 2, (mu, nu, gamma, delta))
+    if alpha // 2 in inside or s_inv[nu] // 2 not in inside:
         return None
     if gamma // 2 not in inside or s_inv[gamma] // 2 in inside:
         return None
@@ -284,56 +286,64 @@ def _rewire(d: LinkDiagram, site: FlypeSite) -> tuple[LinkDiagram, Perm]:
         s2, t2 = t2, s2
 
     sigma2, tau2 = tuple(s2), tuple(t2)
-    pairing = compose(inverse(sigma2), tau2)
-    if isinstance(d, TangleDiagram) and pairing[d.size - 2] != d.size - 1:
-        raise RuntimeError("marked crossing was disturbed")
-    g = pair_normalizer(pairing)
+    g = pair_normalizer(compose(inverse(sigma2), tau2))
     return type(d)(d.n, conjugate(g, sigma2)), g
 
 
 def flype_classes(codes: Iterable[str]) -> list[FlypeClass]:
     """Partition canonical diagram codes into flype-equivalence classes.
 
-    Breadth-first closure: every flype of every member is applied and
-    canonicalised until nothing new appears.  The inputs must be canonical
-    codes of one kind (one crossing number, all links or all tangles);
-    since flypes preserve crossing number, genus, connectivity and
-    self-energy freeness, the closure of a full census slice stays inside
-    it.  Classes come back sorted by representative.
+    The inputs must be canonical codes of one kind (one crossing number,
+    all links or all tangles) closed under flypes, as a census slice of one
+    genus is; a flype leading outside them raises ``ValueError``.  Classes
+    come back sorted by representative.
 
-    Sites with an empty ``subtangle`` are skipped.  There the piece is one
-    crossing that shares the bigon ``(mu, nu)`` with the crossing of
-    ``alpha``; the flype only swaps the two crossings of that twist, so its
-    image is the same diagram relabelled and canonicalises to the member.
+    A tangle is named by ``rooted_code(sigma, 2n - 2)``, which no
+    relabelling changes.  Each link is searched once, and each of its sites
+    rewired once into ``(image, g)``: a link is joined with the canonical
+    code of its image, and each root ``r`` off the moved crossings with
+    ``rooted_code(image.sigma, g[r])``.  Sites with an empty ``subtangle``
+    are skipped: the flype only swaps the two crossings of a twist, so its
+    image is the diagram relabelled.
     """
-    pending = sorted(set(codes))
-    heads = {code.split(":", 1)[0] for code in pending}
+    codes = sorted(set(codes))
+    heads = {code.split(":", 1)[0] for code in codes}
     if len(heads) > 1:
         raise ValueError(f"mixed diagram kinds in one closure: {sorted(heads)}")
+    tangles = bool(codes) and codes[0].startswith("T")
+    sigmas = [parse_perm(code.split(":", 1)[1]) for code in codes]
+    keys = [rooted_code(s, len(s) - 2) for s in sigmas] if tangles else sigmas
+    parent = dict(zip(keys, keys))
 
-    classes = []
-    absorbed: set[str] = set()
-    for start in pending:
-        if start in absorbed:
+    def find(k: Perm) -> Perm:
+        if k not in parent:
+            raise ValueError("a flype leads outside the input codes")
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    searched: set[Perm] = set()
+    for sigma, key in zip(sigmas, keys):
+        if key in searched:
             continue
-        members = {start}
-        frontier = [start]
-        while frontier:
-            code = frontier.pop()
-            d = _decode(code)
-            for site in flype_sites(d):
-                if not site.subtangle:
-                    continue
-                image = canonical_diagram(_rewire(d, site)[0]).to_code()
-                if image not in members:
-                    members.add(image)
-                    frontier.append(image)
-        absorbed |= members
-        classes.append(FlypeClass(min(members), frozenset(members)))
-    classes.sort(key=lambda c: c.representative)
-    return classes
+        d = LinkDiagram(len(sigma) // 2, sigma)
+        if tangles:
+            roots = [rooted_code(sigma, r) for r in range(d.size)]
+            searched.update(roots)
+        for site in flype_sites(d):
+            if not site.subtangle:
+                continue
+            image, g = _rewire(d, site)
+            if not tangles:
+                parent[find(key)] = find(canonical_code(image.sigma))
+                continue
+            moved = _moved(d, site)
+            for r, root in enumerate(roots):
+                if r // 2 not in moved:
+                    parent[find(root)] = find(rooted_code(image.sigma, g[r]))
 
-
-def _decode(code: str) -> LinkDiagram:
-    cls = TangleDiagram if code.startswith("T") else LinkDiagram
-    return cls.from_code(code)
+    members: dict[Perm, list[str]] = {}  # in order of their smallest code
+    for code, key in zip(codes, keys):
+        members.setdefault(find(key), []).append(code)
+    return [FlypeClass(m[0], frozenset(m)) for m in members.values()]

@@ -28,9 +28,11 @@ one-pass cut labels.  The census's resumed root scans are checked against
 a generator scan that reads every trace again from slot 0 on each prefix
 (``tied_roots``).  ``image_site`` names the flype that undoes a flype,
 for the round-trip tests, and ``flype_classes_every_site`` is the class
-closure that rewires every flype site, bare crossings included, against
-the library's, which skips them.  The group-table file reader and writer are
-test plumbing, and so are ``relabel`` (conjugation by a block-preserving
+closure that grows each class from a frontier, diagram by diagram, and
+rewires every flype site, bare crossings included, against the library's
+union-find, which searches each link once and skips them.  The
+group-table file reader and writer are test plumbing, and so are
+``canonical_diagram``, ``relabel`` (conjugation by a block-preserving
 relabelling), ``weighted_link_counts`` (the census weights that meet the
 free energies), ``jones_span`` and ``evaluate`` (substitution into a
 Laurent polynomial): only tests call them.
@@ -55,10 +57,10 @@ from functools import lru_cache
 from math import comb, factorial
 from pathlib import Path
 
-from vtangle.census import canonical_diagram, enumerate_diagrams
+from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.codes import _roots
 from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
-from vtangle.flypes import FlypeClass, FlypeSite, _decode, _rewire, flype_sites
+from vtangle.flypes import FlypeClass, FlypeSite, _rewire, flype_sites
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
     BRACKET_VARIABLES,
@@ -496,6 +498,11 @@ def canonical_form_bruteforce(d: LinkDiagram) -> Perm:
     )
 
 
+def canonical_diagram(d: LinkDiagram) -> LinkDiagram:
+    """The diagram of ``d``'s canonical form, of the same type."""
+    return type(d)(d.n, canonical_form(d))
+
+
 def relabel(d: LinkDiagram, g: Perm) -> LinkDiagram:
     """Conjugate the diagram by a relabelling ``g`` (must preserve blocks)."""
     if conjugate(g, rho_perm(len(g))) != rho_perm(len(g)):
@@ -525,9 +532,10 @@ def weighted_link_counts(n_max: int) -> dict[tuple[int, int], Fraction]:
 def trace(sigma, root, marked):
     """Lazy code of the trace at ``root``: an iterator over its slots.
 
-    On a partial ``sigma`` it stops at the first label whose image is -1;
-    where the scan runs dry it yields the smallest continuation over every
-    leftover label opened next, partial candidates included.
+    On a partial ``sigma`` it stops at the first label whose image is -1
+    (marked scans run on complete ``sigma`` only); where the scan runs dry
+    it yields the smallest continuation over every leftover label opened
+    next, partial candidates included.
     """
     n2 = len(sigma)
     g = [-1] * n2
@@ -551,8 +559,6 @@ def _scan(sigma, g, occ, free, pending, p):
         if occ[p] < 0:
             while pending and occ[p] < 0:
                 v = sigma[occ[pending.pop(0)]]
-                if v < 0:
-                    return
                 if g[v] < 0:
                     g[v] = free
                     g[v ^ 1] = free + 1
@@ -719,7 +725,8 @@ def flype_classes_every_site(codes) -> list[FlypeClass]:
         members = {start}
         frontier = [start]
         while frontier:
-            d = _decode(frontier.pop())
+            code = frontier.pop()
+            d = (TangleDiagram if code.startswith("T") else LinkDiagram).from_code(code)
             for site in flype_sites(d):
                 image = canonical_diagram(_rewire(d, site)[0]).to_code()
                 if image not in members:

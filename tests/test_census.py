@@ -24,7 +24,6 @@ from vtangle.census import (
     _advance,
     _leaves,
     _sigma_is_connected,
-    canonical_diagram,
     canonical_form,
     count_table,
     enumerate_diagrams,
@@ -36,6 +35,7 @@ from vtangle.series import F_genus, gamma_genus
 
 from oracles import (
     _same_cycle_pairs,
+    canonical_diagram,
     canonical_form_bruteforce,
     canonical_multiplicity,
     is_canonical,

@@ -13,7 +13,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vtangle.census import _rooted, canonical_diagram, canonical_form, enumerate_diagrams
+from vtangle.census import _rooted, canonical_form, enumerate_diagrams
 from vtangle.diagrams import (
     LinkDiagram,
     TangleDiagram,
@@ -36,15 +36,28 @@ from vtangle.flypes import (
 from vtangle.perms import conjugate, cycles, inverse
 from vtangle.series import gamma_genus, gamma_tilde
 
-from oracles import flype_classes_every_site, image_site, relabelling_elements
+from oracles import canonical_diagram, flype_classes_every_site, image_site, relabelling_elements
 
 # Flype classes of tangles per (crossings, genus); same provenance as the
-# census rows.  No such table exists for links.
+# census rows.
 TANGLE_CLASS_ROWS = {
     1: {0: 1, 1: 1},
     2: {0: 2, 1: 8},
     3: {0: 4, 1: 57, 2: 17},
     4: {0: 10, 1: 384, 2: 456},
+}
+
+# Flype classes of self-energy-free links per (crossings, genus), counted
+# by this closure and by the per-diagram closure before it.  No series row
+# gives them yet.
+LINK_CLASS_ROWS = {
+    1: {0: 2},
+    2: {0: 1, 1: 1},
+    3: {0: 2, 1: 4},
+    4: {0: 3, 1: 14, 2: 3},
+    5: {0: 6, 1: 54, 2: 54},
+    6: {0: 13, 1: 255, 2: 669, 3: 111},
+    7: {0: 28, 1: 1150, 2: 7186, 3: 4498},
 }
 
 
@@ -62,12 +75,36 @@ def test_single_crossing_diagrams_have_no_sites():
         assert flype_sites(e.diagram) == []
 
 
-def test_sites_never_use_the_marked_crossing():
-    for e in enumerate_diagrams(3, "tangle"):
-        top = e.diagram.n - 1
-        for site in flype_sites(e.diagram):
-            assert site.alpha // 2 != top
-            assert top not in {x // 2 for x in site.subtangle}
+def touches_marked(d, alpha, mu, sub):
+    """Whether a frame moves a tangle's marked crossing: the crossing of
+    ``alpha`` or of ``mu``, or one at either end of a piece edge, is the
+    marked one.  Always False on a link."""
+    if not isinstance(d, TangleDiagram):
+        return False
+    s_inv = inverse(d.sigma)
+    ends = {alpha // 2, mu // 2} | {x // 2 for x in sub} | {s_inv[x] // 2 for x in sub}
+    return d.n - 1 in ends
+
+
+def site_touches_marked(d, site):
+    mu = d.tau[site.alpha] if site.color == "white" else d.sigma[site.alpha]
+    return touches_marked(d, site.alpha, mu, site.subtangle)
+
+
+def test_sites_never_use_the_marked_crossing(census):
+    """A tangle's sites are exactly its link's sites that leave the marked
+    crossing alone, in the link's order, for tangles n <= 4."""
+    dropped = 0
+    for order in range(1, 5):
+        for row in census(order, "tangle").values():
+            for e in row:
+                d = e.diagram
+                sites = flype_sites(d)
+                assert not any(site_touches_marked(d, site) for site in sites)
+                link_sites = flype_sites(LinkDiagram(d.n, d.sigma))
+                assert sites == [s for s in link_sites if not site_touches_marked(d, s)]
+                dropped += len(link_sites) - len(sites)
+    assert dropped > 0
 
 
 def test_site_lists_are_equivariant_under_relabelling():
@@ -124,6 +161,15 @@ def face_frames(d, color):
                     yield alpha, mu, nu, gamma, delta
 
 
+def frame_subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta):
+    """The piece ``_subtangle`` cuts out, or None when the cut fails or the
+    frame moves a tangle's marked crossing."""
+    sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta)
+    if sub is None or touches_marked(d, alpha, mu, sub):
+        return None
+    return sub
+
+
 @pytest.mark.parametrize(
     "order,mode", [(n, "link") for n in range(3, 6)] + [(n, "tangle") for n in range(2, 5)]
 )
@@ -135,13 +181,11 @@ def test_cut_label_prefilter_never_drops_a_site(census, order, mode):
         for e in row:
             d = e.diagram
             lab = cut_labels(d.sigma)
-            marked = d.n - 1 if mode == "tangle" else None
             for color in COLORS:
                 s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
                 s_inv = inverse(s)
                 for alpha, mu, nu, gamma, delta in face_frames(d, color):
-                    args = (d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
-                    if _subtangle(*args) is not None:
+                    if frame_subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta) is not None:
                         accepted += 1
                         assert lab[mu] ^ lab[nu] ^ lab[gamma] ^ lab[delta] == 0
     assert accepted > 0
@@ -177,15 +221,14 @@ def test_flype_site_lists_digest(census, mode, order):
 
 def sites_by_brute_force(d):
     """``flype_sites`` from every face-admissible frame, with no cut-label
-    test and no face index: the breadth-first search and the closed genus
-    decide alone."""
-    marked = d.n - 1 if isinstance(d, TangleDiagram) else None
+    test and no face index: the breadth-first search, the root rule and
+    the closed genus decide alone."""
     sites = []
     for color in COLORS:
         s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
         s_inv = inverse(s)
         for alpha, mu, nu, gamma, delta in face_frames(d, color):
-            sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
+            sub = frame_subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta)
             if sub is not None and _closed_genus(s, t, sub, gamma, delta, mu, nu) == 0:
                 sites.append(FlypeSite(color, alpha, s[alpha], gamma, delta, frozenset(sub)))
     return sites
@@ -281,12 +324,11 @@ def test_apply_flype_accepts_exactly_the_listed_sites(census, mode, order):
         for e in row:
             d = e.diagram
             listed = set(flype_sites(d))
-            marked = d.n - 1 if mode == "tangle" else None
             for color in COLORS:
                 s, t = (d.sigma, d.tau) if color == "white" else (d.tau, d.sigma)
                 s_inv = inverse(s)
                 for alpha, mu, nu, gamma, delta in face_frames(d, color):
-                    sub = _subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta, marked)
+                    sub = frame_subtangle(d, s, t, s_inv, alpha, mu, nu, gamma, delta)
                     site = FlypeSite(color, alpha, s[alpha], gamma, delta, frozenset(sub or ()))
                     if site in listed:
                         accepted += 1
@@ -332,6 +374,14 @@ def test_tangle_class_counts(order, census):
     assert got == TANGLE_CLASS_ROWS[order]
 
 
+@pytest.mark.parametrize(
+    "order", [n for n in LINK_CLASS_ROWS if n <= 6] + [pytest.param(7, marks=pytest.mark.slow)]
+)
+def test_link_class_counts(order, census):
+    got = {h: len(flype_classes(codes(census, order, "link", h))) for h in census(order, "link")}
+    assert got == LINK_CLASS_ROWS[order]
+
+
 @pytest.mark.slow
 def test_tangle_five_census_and_classes_match_the_series(census):
     """Both routes at five crossings, genus by genus: the census against
@@ -359,14 +409,19 @@ def test_rooted_eight_crossing_links_meet_the_series(census):
     """Both routes one crossing past the paper's tables.  The self-energy-free
     links with eight crossings, rooted (16/symmetry each), against
     Gamma_h[7] = 1938 / 140479 / 1240518 / 1740158 / 200589, and the flype
-    classes of the genus-0 tangles rooted on them against Gamma~_0[7] = 372."""
+    classes of the tangles rooted on them against Gamma~_0[7] = 372 and
+    Gamma~_1[7] = 102837.  Genus 2 and 3 are left out: their 1.24 M and
+    1.74 M tangle codes would hold several hundred MB at once."""
     links = census(8, "link")
     rooted = {h: sum(16 // e.symmetry for e in row) for h, row in links.items()}
     assert rooted == {h: gamma_genus(h, 7)[7] for h in range(5)}
     assert [rooted[h] for h in range(5)] == [1938, 140479, 1240518, 1740158, 200589]
-    tangles = [e.code for e in _rooted(links[0])]
-    assert len(tangles) == rooted[0]
-    assert len(flype_classes(tangles)) == gamma_tilde(0, 7)[7] == 372
+    classes = []
+    for h in (0, 1):
+        tangles = [e.code for e in _rooted(links[h])]
+        assert len(tangles) == rooted[h]
+        classes.append(len(flype_classes(tangles)))
+    assert classes == [gamma_tilde(h, 7)[7] for h in (0, 1)] == [372, 102837]
 
 
 def test_every_member_of_a_merged_class_reaches_the_others(census):
@@ -391,14 +446,31 @@ def test_classes_partition_their_input(census):
 
 
 @pytest.mark.parametrize(
-    "order,mode", [(n, "link") for n in range(1, 7)] + [(n, "tangle") for n in range(1, 5)]
+    "order,mode",
+    [(n, "link") for n in range(1, 7)]
+    + [(n, "tangle") for n in range(1, 5)]
+    + [pytest.param(5, "tangle", marks=pytest.mark.slow)],
 )
 def test_classes_equal_the_closure_over_every_site(census, order, mode):
-    """Skipping the bare-crossing sites changes no class and no
-    representative, genus by genus."""
+    """The union-find over links, which skips the bare-crossing sites,
+    gives the classes and representatives of the per-diagram closure over
+    every site, genus by genus."""
     for h in sorted(census(order, mode)):
         slice_ = codes(census, order, mode, h)
         assert flype_classes(slice_) == flype_classes_every_site(slice_)
+
+
+@pytest.mark.parametrize("order,mode,h", [(3, "tangle", 0), (5, "link", 1)])
+def test_classes_reject_input_not_closed_under_flypes(census, order, mode, h):
+    """Dropping any member of a merged class leaves a flype that leads out
+    of the input, and the closure raises instead of growing past it."""
+    slice_ = codes(census, order, mode, h)
+    merged = [c for c in flype_classes(slice_) if c.size > 1]
+    assert merged
+    for cls in merged:
+        for code in cls.members:
+            with pytest.raises(ValueError):
+                flype_classes([c for c in slice_ if c != code])
 
 
 def test_classes_reject_mixed_input():

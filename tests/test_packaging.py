@@ -52,6 +52,7 @@ def library_has(name):
 @pytest.mark.parametrize(
     "name",
     [
+        "vtangle.census:canonical_diagram",
         "vtangle.census:canonical_form_bruteforce",
         "vtangle.census:relabelling_elements",
         "vtangle.census:weighted_link_counts",
@@ -64,6 +65,7 @@ def library_has(name):
         "vtangle.diagrams:_same_cycle_pairs",
         "vtangle.diagrams:_cycle_ids",
         "vtangle.diagrams:relabel",
+        "vtangle.flypes:_decode",
         "vtangle.flypes:flype_classes_every_site",
         "vtangle.flypes:image_site",
         "vtangle.groups:load_group_table",
