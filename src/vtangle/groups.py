@@ -1,13 +1,14 @@
 """Finite groups as validated multiplication tables.
 
 Morphism counting needs products, inverses and the orbits of subgroups
-acting by conjugation.  The orbits follow from the other two, on demand
-and uncached, so a group here is just its Cayley table over elements
-``0..order-1``.  The axioms are checked at construction time: rows and
-columns must be permutations, an identity must exist, and multiplication
-must associate.  Associativity is checked by Light's test over a
-generating set (:func:`_generators`), which costs ``order^2`` products
-per generator instead of ``order^3`` in all.
+acting by conjugation.  The orbits follow from the other two, computed on
+first demand and kept on the group per subgroup, so a group here is its
+Cayley table over elements ``0..order-1`` plus that cache.  The axioms
+are checked at construction time: rows and columns must be permutations,
+an identity must exist, and multiplication must associate.  Associativity
+is checked by Light's test over a generating set (:func:`_generators`),
+which costs ``order^2`` products per generator instead of ``order^3`` in
+all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("name", "table", "identity", "inverse")
+    __slots__ = ("name", "table", "identity", "inverse", "_orbits")
 
     def __init__(self, name: str, table):
         rows = tuple(tuple(int(x) for x in row) for row in table)
@@ -49,6 +50,7 @@ class FiniteGroup:
         self.table = rows
         self.identity = e
         self.inverse = tuple(row.index(e) for row in rows)
+        self._orbits = {}
 
     @property
     def order(self) -> int:
@@ -57,24 +59,29 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def conjugation_orbits(self, sub) -> list[tuple[int, int, frozenset[int]]]:
+    def conjugation_orbits(self, sub) -> tuple[tuple[int, int, frozenset[int]], ...]:
         """The orbits of the elements under conjugation by the subgroup `sub`.
 
         One triple per orbit, in order of least element: that element, the
         orbit's size, and the elements of `sub` commuting with it (its
         stabiliser).  With `sub` the whole group the orbits are the
-        conjugacy classes.  `sub` must be a subgroup."""
-        table, inv = self.table, self.inverse
-        seen = set()
-        out = []
-        for x in range(self.order):
-            if x in seen:
-                continue
-            orbit = {table[table[h][x]][inv[h]] for h in sub}
-            seen |= orbit
-            fixing = frozenset(h for h in sub if table[h][x] == table[x][h])
-            out.append((x, len(orbit), fixing))
-        return out
+        conjugacy classes.  `sub` must be a subgroup.  The result is
+        computed once per subgroup and kept; it is immutable, so no caller
+        can change what the next one reads."""
+        sub = frozenset(sub)
+        if sub not in self._orbits:
+            table, inv = self.table, self.inverse
+            seen = set()
+            out = []
+            for x in range(self.order):
+                if x in seen:
+                    continue
+                orbit = {table[table[h][x]][inv[h]] for h in sub}
+                seen |= orbit
+                fixing = frozenset(h for h in sub if table[h][x] == table[x][h])
+                out.append((x, len(orbit), fixing))
+            self._orbits[sub] = tuple(out)
+        return self._orbits[sub]
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"

@@ -226,9 +226,16 @@ def determinant_invariant(d: LinkDiagram) -> int:
     """Alexander data at s=1, all t_i=t, evaluated at t=-1.
 
     At that point both relation variants collapse to a+a'-2b = 0 and
-    b'-b = 0, and the all-ones vector spans the kernel, so the full
-    determinant vanishes; the reported integer is the gcd of all
-    cofactors, which does not depend on labelling choices."""
+    b'-b = 0, so every row of the square relation matrix M sums to 0 and
+    M·1 = 0.  The full determinant vanishes; the reported integer is the
+    gcd of all cofactors, which does not depend on labelling choices.
+
+    One column of cofactors suffices.  M·adj(M) = det(M)·I = 0 puts every
+    column of adj(M) in ker M.  When rank M = m-1 that kernel is spanned
+    by 1, so each column of adj(M) is constant: the cofactors along any
+    row of M are equal.  When rank M < m-1 every cofactor vanishes.
+    Either way the gcd of all m^2 cofactors is the gcd of the m that
+    delete column 0."""
     frames = _crossing_frames(_reference_orientation(d))
     size = d.size
     m = [[0] * size for _ in range(2 * d.n)]
@@ -238,14 +245,12 @@ def determinant_invariant(d: LinkDiagram) -> int:
         m[2 * v][b_in] -= 2
         m[2 * v + 1][b_out] += 1
         m[2 * v + 1][b_in] -= 1
+    rest = [row[1:] for row in m]
     best = 0
     for i in range(size):
-        rest = m[:i] + m[i + 1 :]
-        for j in range(size):
-            minor = _int_det([row[:j] + row[j + 1 :] for row in rest])
-            best = gcd(best, minor)
-            if best == 1:
-                return 1
+        best = gcd(best, _int_det(rest[:i] + rest[i + 1 :]))
+        if best == 1:
+            return 1
     return best
 
 
@@ -332,16 +337,12 @@ def _morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
                 best, score = arc, near
         return best
 
-    orbits: dict = {}
-
     def search(sub: frozenset) -> int:
         arc = next_arc()
         if arc < 0:
             return 1
-        if sub not in orbits:
-            orbits[sub] = group.conjugation_orbits(sub)
         total = 0
-        for val, size, fixing in orbits[sub]:
+        for val, size, fixing in group.conjugation_orbits(sub):
             trail = [arc]
             assign[arc] = val
             if propagate(trail):

@@ -6,8 +6,10 @@ coefficients, truncated at an explicit order.  The univariate kind
 (`GenusSeries`) additionally tracks powers of x = 1/N^2, one per handle.
 The pipeline runs: rooted-map counts Q_h(n) of every genus from an
 integer recurrence, which give the free energies F_h[n] = Q_h(n)/(2n) and
-the four-point rows G4_h[m] = Q_h(m+1); self-energy removal through the
-substitution point alpha(g); and the flype quotient through a
+the four-point rows G4_h[m] = Q_h(m+1); self-energy removal at the
+substitution point alpha(g), where u = g/alpha^2 solves
+u = g (1 + u G4(u))^-2, so that alpha and Gamma_h follow from G4 by
+Lagrange inversion, with no iteration; and the flype quotient through a
 renormalized coupling g0(g).  The free energies are the only rational
 coefficients.  Every series after them has integer coefficients, and
 every series that gets inverted has constant term 1, so alpha, Gamma_h,
@@ -314,29 +316,6 @@ def _unit_inverse(u) -> tuple:
     return tuple(out)
 
 
-def compose_rows(rows: list[QSeries], arg: GenusSeries) -> GenusSeries:
-    """sum(x^h rows[h](arg)) for a bivariate argument with no constant term."""
-    if arg.grid[0][0]:
-        raise ValueError("composition needs a vanishing constant term")
-    n_max, h_max = arg.n_max, arg.h_max
-    powers = [GenusSeries.constant(1, n_max, h_max)]
-    for _ in range(n_max):
-        powers.append(powers[-1] * arg)
-    grid = [[0] * (h_max + 1) for _ in range(n_max + 1)]
-    for h, series in enumerate(rows[: h_max + 1]):
-        for k in range(min(series.order, n_max) + 1):
-            c = series[k]
-            if not c:
-                continue
-            # arg^k has no terms below g^k.
-            for n in range(k, n_max + 1):
-                power_row, out_row = powers[k].grid[n], grid[n]
-                for j in range(h_max + 1 - h):
-                    if power_row[j]:
-                        out_row[h + j] += c * power_row[j]
-    return GenusSeries(n_max, h_max, grid)
-
-
 # -- free energies per genus -------------------------------------------------
 
 
@@ -395,44 +374,53 @@ def F_genus(h: int, order: int) -> QSeries:
 # and Gamma_h starts at g^(2h-1), so the rows run over h <= (order+1)//2.
 
 
+@lru_cache(maxsize=None)
+def _substitution(order: int) -> tuple[GenusSeries, GenusSeries]:
+    """The four-point rows G4(u) = sum(x^h Q_h(m+1) u^m) and
+    psi(u) = (1 + u G4(u))^-2, through u^order and h <= (order+1)//2."""
+    h_max = (order + 1) // 2
+    g4 = GenusSeries(order, h_max, list(zip(*(q[1:] for q in _f_rows(order + 1)))))
+    psi = (1 + GenusSeries.gee(order, h_max) * g4).reciprocal() ** 2
+    return g4, psi
+
+
+def _at_u(f: GenusSeries, psi: GenusSeries) -> GenusSeries:
+    """f(u(g)) for the root u(g) of u = g psi(u), by Lagrange inversion:
+
+        [g^n] f(u(g)) = [u^(n-1)] f'(u) psi(u)^n / n    for n >= 1
+
+    (Flajolet and Sedgewick, Analytic Combinatorics, CUP 2009, Thm A.2).
+    With integer f and psi, u(g) and f(u(g)) have integer coefficients,
+    so the division by n is exact.  f' is known through u^(n_max-1),
+    as far as the rows read."""
+    n_max, h_max = psi.n_max, psi.h_max
+    term = GenusSeries(n_max, h_max, [[n * c for c in f.grid[n]] for n in range(1, n_max + 1)])
+    rows = [f.grid[0]]
+    for n in range(1, n_max + 1):
+        term = term * psi
+        row = [divmod(c, n) for c in term.grid[n - 1]]
+        if any(r for _, r in row):
+            raise RuntimeError(f"Lagrange inversion left a remainder at g^{n}")
+        rows.append([q for q, _ in row])
+    return GenusSeries(n_max, h_max, rows)
+
+
 def alpha_series(order: int) -> GenusSeries:
     """The substitution point alpha(g) that removes all self-energies.
 
     Determined by G2(g, alpha) = 1, which by homogeneity is the fixed
-    point alpha = 1 + (g/alpha^2) G4(g/alpha^2).
+    point alpha = 1 + u G4(u) at u = g/alpha^2.  So u = g psi(u), and
+    alpha is 1 + u G4(u) taken at that root.
     """
-    return _fixed_point(order)[0]
-
-
-@lru_cache(maxsize=None)
-def _fixed_point(order: int) -> tuple[GenusSeries, GenusSeries, GenusSeries]:
-    """alpha, 1/alpha^2 and the G4 rows composed at g/alpha^2.
-
-    The settle check needs the composition, and Gamma is built from it:
-    Gamma = G4(g/alpha^2)/alpha^2 - 2."""
-    h_max = (order + 1) // 2
-    rows = [QSeries(order, q[1:]) for q in _f_rows(order + 1)]
-    alpha = GenusSeries.constant(1, 0, 0)
-    # Sweep k fixes g^k, given alpha exact below it, so it runs at that
-    # truncation; the x^h sector of alpha starts at g^(2h), so padding the
-    # previous alpha with zeros up to h = (k+1)//2 is exact.
-    for k in range(order + 1):
-        hk = (k + 1) // 2
-        alpha = GenusSeries(k, hk, alpha.grid)
-        arg = GenusSeries.gee(k, hk) * alpha.reciprocal() ** 2
-        alpha = 1 + arg * compose_rows(rows, arg)
-    inv_sq = alpha.reciprocal() ** 2
-    arg = GenusSeries.gee(order, h_max) * inv_sq
-    composed = compose_rows(rows, arg)
-    if alpha != 1 + arg * composed:
-        raise RuntimeError("fixed point did not settle")
-    return alpha, inv_sq, composed
+    g4, psi = _substitution(order)
+    return _at_u(1 + GenusSeries.gee(order, psi.h_max) * g4, psi)
 
 
 @lru_cache(maxsize=None)
 def _gamma_all(order: int) -> GenusSeries:
-    _, inv_sq, composed = _fixed_point(order)
-    return inv_sq * composed - 2
+    """Gamma = G4(u)/alpha^2 - 2 at the root u(g), where 1/alpha^2 = psi(u)."""
+    g4, psi = _substitution(order)
+    return _at_u(g4 * psi, psi) - 2
 
 
 def gamma_genus(h: int, order: int) -> QSeries:
@@ -450,7 +438,7 @@ def g0_series(order: int) -> QSeries:
     """
     gamma0 = gamma_genus(0, order)
     g0 = QSeries.zero(0)
-    # As for alpha: sweep k fixes g^k, so it runs at order k.
+    # Sweep k fixes g^k, given g0 exact below it, so it runs at order k.
     for k in range(order + 1):
         g = QSeries.gee(k)
         g0 = QSeries(k, g0.coeffs)

@@ -17,9 +17,10 @@ none of that code:
   from the definition for small h.
 
 The library runs the Gamma rows on integers, reading the four-point rows
-as the map counts Q_h(m+1).  ``gamma_rows_rational`` runs the same sweep
-on rows differentiated from the rational free energies, as the library
-did before.
+as the map counts Q_h(m+1), and solves for the substitution point alpha by
+Lagrange inversion.  ``gamma_rows_rational`` runs the fixed-point sweep
+the library ran before, through ``compose_rows``, on rows differentiated
+from the rational free energies.
 
 The diagram oracles are brute force: canonical forms minimised over the
 whole relabelling group, and the self-energy test that cuts every pair of
@@ -45,7 +46,9 @@ The bracket oracles share no state-sum code with the library's frontier
 sweep: one sums over the 2^n splittings of the permutation encoding and
 counts loops as cycles, the other walks all 2^c states of a rotation
 system with a rollback union-find.  Fraction-free Bareiss elimination,
-with its exact polynomial division, checks the cofactor determinant.
+with its exact polynomial division, checks the cofactor determinant, and
+the gcd of every cofactor of the integer relation matrix checks the
+determinant invariant, which reads one column of them.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from pathlib import Path
 
 from vtangle.census import canonical_form, enumerate_diagrams
@@ -71,12 +74,14 @@ from vtangle.invariants import (
     _amono,
     _crossing_frames,
     _delta_power,
+    _int_det,
+    _reference_orientation,
     _RotationDiagram,
     _rotation_of,
 )
 from vtangle.laurent import MultiLaurentPoly
 from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse, rho_perm
-from vtangle.series import F_genus, GenusSeries, QSeries, compose_rows
+from vtangle.series import F_genus, GenusSeries, QSeries
 
 
 # -- series plumbing only the oracles use -------------------------------------
@@ -106,13 +111,38 @@ def G2_of(f: QSeries) -> QSeries:
     return 1 + G4_of(f).shift(1)
 
 
-def gamma_rows_rational(order: int) -> list[QSeries]:
-    """Gamma_0..Gamma_((order+1)//2) through g^order in rationals.
+def compose_rows(rows: list[QSeries], arg: GenusSeries) -> GenusSeries:
+    """sum(x^h rows[h](arg)) for a bivariate argument with no constant term."""
+    if arg.grid[0][0]:
+        raise ValueError("composition needs a vanishing constant term")
+    n_max, h_max = arg.n_max, arg.h_max
+    powers = [GenusSeries.constant(1, n_max, h_max)]
+    for _ in range(n_max):
+        powers.append(powers[-1] * arg)
+    grid = [[0] * (h_max + 1) for _ in range(n_max + 1)]
+    for h, series in enumerate(rows[: h_max + 1]):
+        for k in range(min(series.order, n_max) + 1):
+            c = series[k]
+            if not c:
+                continue
+            # arg^k has no terms below g^k.
+            for n in range(k, n_max + 1):
+                power_row, out_row = powers[k].grid[n], grid[n]
+                for j in range(h_max + 1 - h):
+                    if power_row[j]:
+                        out_row[h + j] += c * power_row[j]
+    return GenusSeries(n_max, h_max, grid)
+
+
+def gamma_rows_rational(order: int) -> tuple[list[QSeries], GenusSeries]:
+    """Gamma_0..Gamma_((order+1)//2) through g^order in rationals, and alpha.
 
     The alpha sweep and Gamma = G4(g/alpha^2)/alpha^2 - 2 as the library
-    ran them before it read the four-point rows as the integer map counts:
-    here the rows are G4_of(F_h), differentiated from the free energies,
-    and every coefficient they feed into the sweep is a Fraction.
+    ran them before it read the four-point rows as the integer map counts
+    and solved for alpha by Lagrange inversion: here the rows are
+    G4_of(F_h), differentiated from the free energies, every coefficient
+    they feed into the sweep is a Fraction, and sweep k fixes g^k of
+    alpha = 1 + arg G4(arg) at arg = g/alpha^2.
     """
     h_max = (order + 1) // 2
     rows = [G4_of(F_genus(h, order + 1)) for h in range(h_max + 1)]
@@ -125,7 +155,7 @@ def gamma_rows_rational(order: int) -> list[QSeries]:
     inv_sq = alpha.reciprocal() ** 2
     arg = GenusSeries.gee(order, h_max) * inv_sq
     gamma = inv_sq * compose_rows(rows, arg) - 2
-    return [gamma.row(h) for h in range(h_max + 1)]
+    return [gamma.row(h) for h in range(h_max + 1)], alpha
 
 
 # -- the character sum over S_2n ------------------------------------------------
@@ -903,6 +933,26 @@ def jones_span(p: MultiLaurentPoly) -> int:
 
 
 # -- determinants: Bareiss elimination ----------------------------------------------
+
+
+def determinant_by_every_cofactor(d: LinkDiagram) -> int:
+    """The gcd of all m^2 cofactors of the relation matrix at t=-1, s=1,
+    against the library's one column of them."""
+    frames = _crossing_frames(_reference_orientation(d))
+    size = d.size
+    m = [[0] * size for _ in range(2 * d.n)]
+    for v, (b_in, b_out, a_in, a_out, _) in enumerate(frames):
+        m[2 * v][a_out] += 1
+        m[2 * v][a_in] += 1
+        m[2 * v][b_in] -= 2
+        m[2 * v + 1][b_out] += 1
+        m[2 * v + 1][b_in] -= 1
+    best = 0
+    for i in range(size):
+        rest = m[:i] + m[i + 1 :]
+        for j in range(size):
+            best = gcd(best, _int_det([row[:j] + row[j + 1 :] for row in rest]))
+    return best
 
 
 def _det_bareiss(m, variables):

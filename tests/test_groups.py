@@ -220,3 +220,21 @@ def test_conjugation_orbits_by_a_subgroup():
                 assert fixing <= sub and size * len(fixing) == len(sub)
                 covered += orbit
             assert sorted(covered) == list(range(g.order)), g.name
+
+
+def test_conjugation_orbits_are_kept_and_immutable():
+    """The orbits of a subgroup are computed once and kept on the group,
+    whichever collection names the subgroup, and no caller can change
+    them for the next one."""
+    g = FiniteGroup.symmetric(3)
+    everything = frozenset(range(g.order))
+    orbits = g.conjugation_orbits(everything)
+    assert g.conjugation_orbits(list(range(g.order))) is orbits
+    assert isinstance(orbits, tuple)
+    assert all(isinstance(t, tuple) and isinstance(t[2], frozenset) for t in orbits)
+    with pytest.raises(TypeError):
+        orbits[0] = (0, 1, everything)
+    with pytest.raises(AttributeError):
+        orbits[0][2].add(0)
+    sub = orbits[-1][2]
+    assert g.conjugation_orbits(set(sub)) is g.conjugation_orbits(sub)

@@ -21,6 +21,7 @@ from vtangle.invariants import (
     bracket,
     cable_rotation,
     cabled_jones,
+    determinant_invariant,
     group_morphism_count,
     link_record,
 )
@@ -29,6 +30,7 @@ from vtangle.laurent import MultiLaurentPoly
 from oracles import (
     _loop_state_sum,
     bracket_by_permutations,
+    determinant_by_every_cofactor,
     jones_span,
     morphism_count_bruteforce,
     relabel,
@@ -62,6 +64,19 @@ def test_bracket_engines_agree_on_every_small_link():
                 assert bracket(e.diagram) == bracket_by_permutations(e.diagram), e.code
                 seen += 1
         assert seen == total, mode
+
+
+@pytest.mark.parametrize(
+    "n, total",
+    [(1, 2), (2, 5), (3, 20), (4, 107), pytest.param(5, 870, marks=pytest.mark.slow)],
+)
+def test_determinant_reads_one_column_of_cofactors(n, total):
+    """The gcd over one column of cofactors equals the gcd over all of
+    them on every link diagram with n crossings, self-energies included."""
+    entries = list(enumerate_diagrams(n, "link", no_self_energy=False))
+    assert len(entries) == total
+    for e in entries:
+        assert determinant_invariant(e.diagram) == determinant_by_every_cofactor(e.diagram), e.code
 
 
 def test_state_sum_matches_the_loop_walk_on_cables():

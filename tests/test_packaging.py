@@ -1,5 +1,6 @@
 """The project metadata points at files and modules that exist."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -81,6 +82,7 @@ def library_has(name):
         "vtangle.perms:from_cycles",
         "vtangle.series:G2_of",
         "vtangle.series:G4_of",
+        "vtangle.series:compose_rows",
     ],
 )
 def test_moved_names_stay_out_of_the_library(name):
@@ -103,9 +105,21 @@ def test_moved_names_stay_out_of_the_library(name):
         "vtangle.invariants:tangle_record",
         "vtangle.series:GenusSeries.derivative_g",
         "vtangle.series:GenusSeries.shift_g",
+        "vtangle.series:_fixed_point",
     ],
 )
 def test_deleted_names_stay_deleted(name):
     """Library code that lost its last caller, or was folded into other
     code, does not come back."""
     assert not library_has(name)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "vtangle").glob("*.py")), ids=lambda p: p.name
+)
+def test_library_validates_without_assert(path):
+    """Checks in the library raise exceptions: ``python -O`` strips an
+    ``assert``, and the check with it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"

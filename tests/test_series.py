@@ -19,6 +19,7 @@ from oracles import (
     G2_of,
     G4_of,
     a2_series,
+    compose_rows,
     gamma_rows_rational,
     log,
 )
@@ -26,8 +27,9 @@ from vtangle.series import (
     F_genus,
     GenusSeries,
     QSeries,
+    _at_u,
+    _substitution,
     alpha_series,
-    compose_rows,
     g0_series,
     gamma_genus,
     gamma_tilde,
@@ -291,10 +293,23 @@ def test_alpha_gamma_identity():
 
 
 def test_alpha_grows_one_order_per_sweep():
-    # Every truncation of the deep fixed point is the fixed point at that order.
+    # Every truncation of the deep substitution point is the substitution
+    # point at that order.
     deep = alpha_series(DEEP)
     for k in range(DEEP + 1):
         assert deep.truncate(k, (k + 1) // 2) == alpha_series(k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 13])
+def test_lagrange_root_solves_its_equation(order):
+    """u(g) from the inversion formula satisfies u = g psi(u), with psi(u)
+    composed at u(g) by powers of u(g), not by the formula again."""
+    _, psi = _substitution(order)
+    h_max = psi.h_max
+    u = _at_u(GenusSeries.gee(order, h_max), psi)
+    composed = compose_rows([psi.row(h) for h in range(h_max + 1)], u)
+    assert u == GenusSeries.gee(order, h_max) * composed
+    assert all(type(c) is int for row in u.grid for c in row)
 
 
 @pytest.mark.parametrize("h", sorted(GAMMA_ROWS))
@@ -353,10 +368,16 @@ def test_class_counts_are_nonnegative_integers():
 def test_integer_rows_equal_the_rational_route():
     """The four-point rows read as map counts against G4 = 2 dF/dg of the
     rational free energies, at every genus through g^16."""
-    rows = gamma_rows_rational(16)
+    rows, _ = gamma_rows_rational(16)
     assert len(rows) == 9
     for h, row in enumerate(rows):
         assert gamma_genus(h, 16) == row
+
+
+def test_alpha_equals_the_rational_sweep():
+    """Lagrange inversion against the fixed-point sweep in rationals."""
+    _, alpha = gamma_rows_rational(16)
+    assert alpha_series(16) == alpha
 
 
 def test_deep_rows_extend_the_tables():
@@ -404,10 +425,12 @@ def test_n1_rows_through_order_14_match_a_univariate_pipeline():
 
 @pytest.mark.slow
 def test_deep_rows_through_order_40():
-    """The integer rows against the rational route and the N=1 sums, at
-    every genus through g^40."""
-    for h, row in enumerate(gamma_rows_rational(40)):
+    """The integer rows and alpha against the rational route, and the N=1
+    sums, at every genus through g^40."""
+    rows, alpha = gamma_rows_rational(40)
+    for h, row in enumerate(rows):
         assert gamma_genus(h, 40) == row
+    assert alpha_series(40) == alpha
     n1_sums_match_a_univariate_pipeline(40)
 
 
