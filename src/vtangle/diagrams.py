@@ -106,10 +106,6 @@ class TangleDiagram(LinkDiagram):
             raise ValueError("a tangle needs a real crossing besides the marked one")
 
     @property
-    def real_crossings(self) -> int:
-        return self.n - 1
-
-    @property
     def legs(self) -> tuple[int, int, int, int]:
         """Edges at the four legs as ``(SW, NW, NE, SE)``."""
         w, x = self.size - 2, self.size - 1
@@ -361,17 +357,6 @@ def edge_component_ids(d: LinkDiagram) -> tuple[int, ...]:
         for e, _ in comp:
             ids[e] = i
     return tuple(ids)
-
-
-def vertex_sign(od: OrientedDiagram, v: int) -> int:
-    """Crossing sign: +1 when the over-strand crosses the oriented
-    under-strand from its left to its right."""
-    d = od.diagram
-    if not 0 <= v < d.n:
-        raise ValueError(f"no crossing {v} in a diagram with n={d.n}")
-    senses = edge_senses(od)
-    a = 2 * v
-    return 1 if senses[a] == senses[d.sigma[a]] else -1
 
 
 # -- tangle operations -------------------------------------------------------

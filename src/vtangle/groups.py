@@ -56,9 +56,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def conjugation_orbits(self, sub) -> tuple[tuple[int, int, frozenset[int]], ...]:
         """The orbits of the elements under conjugation by the subgroup `sub`.
 

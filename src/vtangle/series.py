@@ -1,22 +1,24 @@
 """Exact generating functions for the weighted diagram counts.
 
 Everything here is a formal power series in the coupling g with exact
-coefficients, truncated at an explicit order.  The univariate kind
-(`QSeries`) carries one genus sector or a genus sum; the bivariate kind
-(`GenusSeries`) additionally tracks powers of x = 1/N^2, one per handle.
-The pipeline runs: rooted-map counts Q_h(n) of every genus from an
-integer recurrence, which give the free energies F_h[n] = Q_h(n)/(2n) and
-the four-point rows G4_h[m] = Q_h(m+1); self-energy removal at the
-substitution point alpha(g), where u = g/alpha^2 solves
-u = g (1 + u G4(u))^-2, so that alpha and Gamma_h follow from G4 by
-Lagrange inversion, with no iteration; and the flype quotient through a
-renormalized coupling g0(g).  The free energies are the only rational
-coefficients.  Every series after them has integer coefficients, and
-every series that gets inverted has constant term 1, so alpha, Gamma_h,
-g0 and Gamma~_h run on Python ints.  Every stage takes its truncation
-order as an argument and no order is capped; the genera follow from it,
-h <= order//2 for the free energies and h <= (order+1)//2 for the Gamma
-rows.  The resulting rows are the reference numbers the census and flype
+coefficients, truncated at an explicit order.  The bivariate kind
+(`GenusSeries`) tracks powers of x = 1/N^2, one per handle, and carries
+the arithmetic; the univariate kind (`QSeries`) only holds one genus
+sector or a free energy as it is handed out.  The pipeline runs:
+rooted-map counts Q_h(n) of every genus from an integer recurrence, which
+give the free energies F_h[n] = Q_h(n)/(2n) and the four-point rows
+G4_h[m] = Q_h(m+1); self-energy removal at the substitution point
+alpha(g), where u = g/alpha^2 solves u = g (1 + u G4(u))^-2, so that
+alpha and Gamma_h follow from G4 by Lagrange inversion; and the flype
+quotient through the renormalized coupling t = g0(g), which solves
+t = g phi(t) for a phi from a quadratic, so that g0 and every Gamma~_h
+follow from Gamma by the same inversion.  Nothing is iterated to a fixed
+point.  The free energies are the only rational coefficients.  Every
+series after them has integer coefficients, and every series that gets
+inverted has constant term 1, so alpha, Gamma_h, g0 and Gamma~_h run on
+Python ints.  Every stage takes its truncation order as an argument and
+no order is capped; the genera follow from it, h <= order//2 for the
+free energies and h <= (order+1)//2 for the Gamma rows.  The resulting rows are the reference numbers the census and flype
 modules are tested against.
 
 Floating point appears in exactly one place, the growth diagnostic, which
@@ -44,7 +46,10 @@ def _exact(coeffs, length: int) -> tuple:
 
 
 class QSeries:
-    """Truncated power series sum(c[n] g^n, n=0..order) with exact coefficients."""
+    """Truncated power series sum(c[n] g^n, n=0..order) with exact coefficients.
+
+    A row container: the library computes on `GenusSeries` and hands out
+    one genus sector, or a free energy, as a `QSeries`."""
 
     __slots__ = ("order", "coeffs")
 
@@ -53,19 +58,6 @@ class QSeries:
             raise ValueError("series order must be nonnegative")
         self.order = order
         self.coeffs = _exact(coeffs, order + 1)
-
-    @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls(order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "QSeries":
-        return cls(order, [c])
-
-    @classmethod
-    def gee(cls, order: int) -> "QSeries":
-        """The series g itself."""
-        return cls(order, [0, 1])
 
     def __getitem__(self, n: int):
         return self.coeffs[n]
@@ -84,84 +76,7 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(order, self.coeffs[: order + 1])
-
-    def _join(self, other) -> tuple["QSeries", "QSeries"]:
-        if not isinstance(other, QSeries):
-            other = QSeries.constant(other, self.order)
-        order = min(self.order, other.order)
-        return self.truncate(order), other.truncate(order)
-
-    def __add__(self, other):
-        a, b = self._join(other)
-        return QSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        a, b = self._join(other)
-        return QSeries(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            return QSeries(self.order, [c * other for c in self.coeffs])
-        a, b = self._join(other)
-        out = [0] * (a.order + 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j in range(a.order + 1 - i):
-                out[i + j] += x * b.coeffs[j]
-        return QSeries(a.order, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError(f"negative power {k}: use reciprocal()")
-        out = QSeries.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by g^k (dropping what falls off the truncation)."""
-        return QSeries(self.order, [0] * k + list(self.coeffs))
-
-    def reciprocal(self) -> "QSeries":
-        """Inverse when the constant term is a unit, 1 or -1."""
-        return QSeries(self.order, _unit_inverse(self.coeffs))
-
-    def derivative(self) -> "QSeries":
-        """d/dg, keeping the truncation order (top coefficient unknown -> order-1)."""
-        return QSeries(
-            self.order - 1,
-            [n * c for n, c in enumerate(self.coeffs)][1:],
-        )
-
-    def compose(self, inner: "QSeries") -> "QSeries":
-        """self(inner(g)); the inner series must have no constant term."""
-        if inner.coeffs[0]:
-            raise ValueError("composition needs a vanishing constant term")
-        order = min(self.order, inner.order)
-        out = QSeries.constant(self.coeffs[0], order)
-        power = QSeries.constant(1, order)
-        inner = inner.truncate(order)
-        for n in range(1, order + 1):
-            power = power * inner
-            if self.coeffs[n]:
-                out = out + power * self.coeffs[n]
-        return out
+        return type(self)(order, self.coeffs[: order + 1])
 
 
 class GenusSeries:
@@ -177,16 +92,6 @@ class GenusSeries:
             src = grid[n] if grid and n < len(grid) else ()
             rows.append(_exact(src, h_max + 1))
         self.grid = tuple(rows)
-
-    @classmethod
-    def from_rows(cls, rows: list[QSeries], n_max: int) -> "GenusSeries":
-        """Assemble sum(x^h rows[h]) from per-genus univariate series."""
-        h_max = len(rows) - 1
-        grid = [
-            [rows[h][n] if n <= rows[h].order else 0 for h in range(h_max + 1)]
-            for n in range(n_max + 1)
-        ]
-        return cls(n_max, h_max, grid)
 
     @classmethod
     def constant(cls, c, n_max: int, h_max: int) -> "GenusSeries":
@@ -264,18 +169,6 @@ class GenusSeries:
         return GenusSeries(n_max, h_max, grid)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError(f"negative power {k}: use reciprocal()")
-        out = GenusSeries.constant(1, self.n_max, self.h_max)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def reciprocal(self) -> "GenusSeries":
         """Inverse when the g-constant term is a unit of Z[x]/(x^(h_max+1)),
@@ -380,8 +273,8 @@ def _substitution(order: int) -> tuple[GenusSeries, GenusSeries]:
     psi(u) = (1 + u G4(u))^-2, through u^order and h <= (order+1)//2."""
     h_max = (order + 1) // 2
     g4 = GenusSeries(order, h_max, list(zip(*(q[1:] for q in _f_rows(order + 1)))))
-    psi = (1 + GenusSeries.gee(order, h_max) * g4).reciprocal() ** 2
-    return g4, psi
+    r = (1 + GenusSeries.gee(order, h_max) * g4).reciprocal()
+    return g4, r * r
 
 
 def _at_u(f: GenusSeries, psi: GenusSeries) -> GenusSeries:
@@ -392,8 +285,13 @@ def _at_u(f: GenusSeries, psi: GenusSeries) -> GenusSeries:
     (Flajolet and Sedgewick, Analytic Combinatorics, CUP 2009, Thm A.2).
     With integer f and psi, u(g) and f(u(g)) have integer coefficients,
     so the division by n is exact.  f' is known through u^(n_max-1),
-    as far as the rows read."""
+    as far as the rows read.  f and psi must have the same shape: a
+    product would truncate to the smaller one and drop rows unseen."""
     n_max, h_max = psi.n_max, psi.h_max
+    if (f.n_max, f.h_max) != (n_max, h_max):
+        raise ValueError(
+            f"f has shape {(f.n_max, f.h_max)} but psi has {(n_max, h_max)}"
+        )
     term = GenusSeries(n_max, h_max, [[n * c for c in f.grid[n]] for n in range(1, n_max + 1)])
     rows = [f.grid[0]]
     for n in range(1, n_max + 1):
@@ -430,27 +328,54 @@ def gamma_genus(h: int, order: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
+def _flype_psi(order: int) -> GenusSeries:
+    """phi(t) = t/g(t) for the renormalized coupling t = g0(g), through
+    t^order, with Gamma's genus bound and every row above genus 0 zero.
+
+    The flype quotient renormalizes g0 = g(-1 + 2/((1-g)(1+Gamma0(g0)))),
+    which rearranges to T(t)(g-1)(g+t) + 2g = 0 with T = 1 + Gamma0: g(t)
+    is a root of a quadratic and g0 = g phi(g0).  With g = t/phi this
+    reads T (1 + phi)(phi - t) = 2 phi, phi(0) = 1.  In its t^n
+    coefficient phi[n] enters with slope T[0](1 + 2 phi[0]) - 2 = 1, so
+    phi[n] follows from the lower coefficients with no division; a[n] is
+    the t^n coefficient of (1 + phi)(phi - t), kept as phi grows.
+    """
+    gamma = _gamma_all(order)
+    big_t = [1 + gamma.grid[0][0]] + [gamma.grid[n][0] for n in range(1, order + 1)]
+    phi, a = [1], [2]
+    for n in range(1, order + 1):
+        t_n = int(n == 1)
+        # The t^n coefficient of phi^2 without its two phi[0] phi[n] terms.
+        inner = sum(phi[j] * phi[n - j] for j in range(1, n))
+        c = phi[n - 1] + t_n - inner - sum(big_t[i] * a[n - i] for i in range(1, n + 1))
+        phi.append(c)
+        a.append(3 * c + inner - phi[n - 1] - t_n)
+    return GenusSeries(order, gamma.h_max, [[c] for c in phi])
+
+
+@lru_cache(maxsize=None)
 def g0_series(order: int) -> QSeries:
     """Renormalized coupling implementing the quotient by flypes.
 
-    Fixed point of g0 = g(-1 + 2/((1-g)(1+Gamma0(g0)))) where Gamma0 is
-    the planar four-point row.
+    The root t = g0(g) of g0 = g(-1 + 2/((1-g)(1+Gamma0(g0)))), where
+    Gamma0 is the planar four-point row, by Lagrange inversion of
+    t = g phi(t) (see `_flype_psi`).
     """
-    gamma0 = gamma_genus(0, order)
-    g0 = QSeries.zero(0)
-    # Sweep k fixes g^k, given g0 exact below it, so it runs at order k.
-    for k in range(order + 1):
-        g = QSeries.gee(k)
-        g0 = QSeries(k, g0.coeffs)
-        g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
-    if g0 != g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1):
-        raise RuntimeError("fixed point did not settle")
-    return g0
+    psi = _flype_psi(order)
+    return _at_u(GenusSeries.gee(order, psi.h_max), psi).row(0)
+
+
+@lru_cache(maxsize=None)
+def _gamma_tilde_all(order: int) -> GenusSeries:
+    """Gamma(g0(g)) at every genus: one Lagrange inversion, since g0 is the
+    root of t = g phi(t) and phi does not depend on the genus."""
+    return _at_u(_gamma_all(order), _flype_psi(order))
 
 
 def gamma_tilde(h: int, order: int) -> QSeries:
     """Flype-equivalence class counts: the genus-h row of Gamma(g0(g))."""
-    return gamma_genus(h, order).compose(g0_series(order))
+    _check_genus(h, (order + 1) // 2)
+    return _gamma_tilde_all(order).row(h)
 
 
 # -- growth diagnostics ------------------------------------------------------

@@ -17,10 +17,15 @@ none of that code:
   from the definition for small h.
 
 The library runs the Gamma rows on integers, reading the four-point rows
-as the map counts Q_h(m+1), and solves for the substitution point alpha by
-Lagrange inversion.  ``gamma_rows_rational`` runs the fixed-point sweep
-the library ran before, through ``compose_rows``, on rows differentiated
-from the rational free energies.
+as the map counts Q_h(m+1), and solves for the substitution point alpha
+and for the renormalized coupling g0 by Lagrange inversion.
+``gamma_rows_rational`` runs the fixed-point sweep for alpha the library
+ran before, through ``compose_rows``, on rows differentiated from the
+rational free energies, and ``g0_sweep`` the sweep for g0, whose result
+composed into each Gamma_h row checks Gamma~_h.  The library hands out
+univariate series as bare rows; the ``QSeries`` subclass here carries the
+arithmetic these oracles compute in, and ``lift`` turns a library row
+into one.
 
 The diagram oracles are brute force: canonical forms minimised over the
 whole relabelling group, and the self-energy test that cuts every pair of
@@ -35,8 +40,9 @@ union-find, which searches each link once and skips them.  The
 group-table file reader and writer are test plumbing, and so are
 ``canonical_diagram``, ``relabel`` (conjugation by a block-preserving
 relabelling), ``weighted_link_counts`` (the census weights that meet the
-free energies), ``jones_span`` and ``evaluate`` (substitution into a
-Laurent polynomial): only tests call them.
+free energies), ``real_crossings``, ``vertex_sign``, ``mul`` (a product
+read off a group's table), ``jones_span`` and ``evaluate`` (substitution
+into a Laurent polynomial): only tests call them.
 
 The morphism count is brute force too: every labelling of the arcs by
 permutation tuples, each crossing relation checked by composing them,
@@ -62,7 +68,7 @@ from pathlib import Path
 
 from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.codes import _roots
-from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
+from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram, edge_senses
 from vtangle.flypes import FlypeClass, FlypeSite, _rewire, flype_sites
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
@@ -81,10 +87,124 @@ from vtangle.invariants import (
 )
 from vtangle.laurent import MultiLaurentPoly
 from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse, rho_perm
-from vtangle.series import F_genus, GenusSeries, QSeries
+import vtangle.series
+from vtangle.series import F_genus, GenusSeries, _unit_inverse, gamma_genus
 
 
 # -- series plumbing only the oracles use -------------------------------------
+
+
+class QSeries(vtangle.series.QSeries):
+    """The library's row container with the univariate arithmetic that only
+    the oracles compute in.  It equals a library row with the same order
+    and coefficients; ``lift`` turns a library row into one of these."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, order: int) -> "QSeries":
+        return cls(order)
+
+    @classmethod
+    def constant(cls, c, order: int) -> "QSeries":
+        return cls(order, [c])
+
+    @classmethod
+    def gee(cls, order: int) -> "QSeries":
+        """The series g itself."""
+        return cls(order, [0, 1])
+
+    def _join(self, other) -> tuple["QSeries", "QSeries"]:
+        if not isinstance(other, QSeries):
+            other = QSeries.constant(other, self.order)
+        order = min(self.order, other.order)
+        return self.truncate(order), other.truncate(order)
+
+    def __add__(self, other):
+        a, b = self._join(other)
+        return QSeries(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSeries(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        a, b = self._join(other)
+        return QSeries(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if not isinstance(other, QSeries):
+            return QSeries(self.order, [c * other for c in self.coeffs])
+        a, b = self._join(other)
+        out = [0] * (a.order + 1)
+        for i, x in enumerate(a.coeffs):
+            if not x:
+                continue
+            for j in range(a.order + 1 - i):
+                out[i + j] += x * b.coeffs[j]
+        return QSeries(a.order, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power {k}: use reciprocal()")
+        out = QSeries.constant(1, self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def shift(self, k: int) -> "QSeries":
+        """Multiply by g^k (dropping what falls off the truncation)."""
+        return QSeries(self.order, [0] * k + list(self.coeffs))
+
+    def reciprocal(self) -> "QSeries":
+        """Inverse when the constant term is a unit, 1 or -1."""
+        return QSeries(self.order, _unit_inverse(self.coeffs))
+
+    def derivative(self) -> "QSeries":
+        """d/dg, keeping the truncation order (top coefficient unknown -> order-1)."""
+        return QSeries(
+            self.order - 1,
+            [n * c for n, c in enumerate(self.coeffs)][1:],
+        )
+
+    def compose(self, inner: "QSeries") -> "QSeries":
+        """self(inner(g)); the inner series must have no constant term."""
+        if inner.coeffs[0]:
+            raise ValueError("composition needs a vanishing constant term")
+        order = min(self.order, inner.order)
+        out = QSeries.constant(self.coeffs[0], order)
+        power = QSeries.constant(1, order)
+        inner = inner.truncate(order)
+        for n in range(1, order + 1):
+            power = power * inner
+            if self.coeffs[n]:
+                out = out + power * self.coeffs[n]
+        return out
+
+
+def lift(row: vtangle.series.QSeries) -> QSeries:
+    """A library row as a series the oracles can compute with."""
+    return QSeries(row.order, row.coeffs)
+
+
+def from_rows(rows: list[vtangle.series.QSeries], n_max: int) -> GenusSeries:
+    """Assemble sum(x^h rows[h]) from per-genus univariate series."""
+    h_max = len(rows) - 1
+    grid = [
+        [rows[h][n] if n <= rows[h].order else 0 for h in range(h_max + 1)]
+        for n in range(n_max + 1)
+    ]
+    return GenusSeries(n_max, h_max, grid)
 
 
 def integral(p: QSeries) -> QSeries:
@@ -145,17 +265,35 @@ def gamma_rows_rational(order: int) -> tuple[list[QSeries], GenusSeries]:
     alpha = 1 + arg G4(arg) at arg = g/alpha^2.
     """
     h_max = (order + 1) // 2
-    rows = [G4_of(F_genus(h, order + 1)) for h in range(h_max + 1)]
+    rows = [G4_of(lift(F_genus(h, order + 1))) for h in range(h_max + 1)]
     alpha = GenusSeries.constant(1, 0, 0)
     for k in range(order + 1):
         hk = (k + 1) // 2
         alpha = GenusSeries(k, hk, alpha.grid)
-        arg = GenusSeries.gee(k, hk) * alpha.reciprocal() ** 2
+        inv = alpha.reciprocal()
+        arg = GenusSeries.gee(k, hk) * inv * inv
         alpha = 1 + arg * compose_rows(rows, arg)
-    inv_sq = alpha.reciprocal() ** 2
+    inv = alpha.reciprocal()
+    inv_sq = inv * inv
     arg = GenusSeries.gee(order, h_max) * inv_sq
     gamma = inv_sq * compose_rows(rows, arg) - 2
     return [gamma.row(h) for h in range(h_max + 1)], alpha
+
+
+def g0_sweep(order: int) -> QSeries:
+    """The renormalized coupling by the fixed-point sweep the library ran
+    before it solved for g0 by Lagrange inversion: sweep k fixes g^k of
+    g0 = g(-1 + 2/((1-g)(1+Gamma0(g0)))), given g0 exact below it."""
+    gamma0 = lift(gamma_genus(0, order))
+    g0 = QSeries.zero(0)
+    # Sweep k fixes g^k, given g0 exact below it, so it runs at order k.
+    for k in range(order + 1):
+        g = QSeries.gee(k)
+        g0 = QSeries(k, g0.coeffs)
+        g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
+    if g0 != g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1):
+        raise RuntimeError("fixed point did not settle")
+    return g0
 
 
 # -- the character sum over S_2n ------------------------------------------------
@@ -533,6 +671,22 @@ def canonical_diagram(d: LinkDiagram) -> LinkDiagram:
     return type(d)(d.n, canonical_form(d))
 
 
+def real_crossings(t: TangleDiagram) -> int:
+    """The crossings of a tangle besides the marked one."""
+    return t.n - 1
+
+
+def vertex_sign(od: OrientedDiagram, v: int) -> int:
+    """Crossing sign: +1 when the over-strand crosses the oriented
+    under-strand from its left to its right."""
+    d = od.diagram
+    if not 0 <= v < d.n:
+        raise ValueError(f"no crossing {v} in a diagram with n={d.n}")
+    senses = edge_senses(od)
+    a = 2 * v
+    return 1 if senses[a] == senses[d.sigma[a]] else -1
+
+
 def relabel(d: LinkDiagram, g: Perm) -> LinkDiagram:
     """Conjugate the diagram by a relabelling ``g`` (must preserve blocks)."""
     if conjugate(g, rho_perm(len(g))) != rho_perm(len(g)):
@@ -792,6 +946,11 @@ def load_group_table(path) -> FiniteGroup:
     if not rows:
         raise ValueError(f"{path}: no table rows found")
     return FiniteGroup(name, rows)
+
+
+def mul(group: FiniteGroup, a: int, b: int) -> int:
+    """The product a*b read off the group's table."""
+    return group.table[a][b]
 
 
 def save_group_table(group: FiniteGroup, path) -> None:

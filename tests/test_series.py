@@ -18,16 +18,21 @@ from oracles import (
     F_all_N1,
     G2_of,
     G4_of,
+    QSeries,
     a2_series,
     compose_rows,
+    from_rows,
+    g0_sweep,
     gamma_rows_rational,
+    lift,
     log,
 )
 from vtangle.series import (
     F_genus,
     GenusSeries,
-    QSeries,
     _at_u,
+    _flype_psi,
+    _gamma_all,
     _substitution,
     alpha_series,
     g0_series,
@@ -107,7 +112,7 @@ def test_compose_requires_no_constant_term():
 
 def test_genus_series_rows_round_trip():
     rows = [QSeries(5, [0, 1, 2, 3]), QSeries(5, [0, 0, 7])]
-    biv = GenusSeries.from_rows(rows, 5)
+    biv = from_rows(rows, 5)
     assert biv.row(0) == rows[0]
     assert biv.row(1) == rows[1]
     assert biv.row(1).coeffs[2] == 7
@@ -115,7 +120,7 @@ def test_genus_series_rows_round_trip():
 
 def test_genus_series_reciprocal():
     rows = [QSeries(6, [1, 3, 1]), QSeries(6, [0, 2])]
-    biv = GenusSeries.from_rows(rows, 6)
+    biv = from_rows(rows, 6)
     assert biv * biv.reciprocal() == GenusSeries.constant(1, 6, 1)
 
 
@@ -148,11 +153,10 @@ def test_reciprocal_needs_a_unit_constant_term():
 def test_negative_powers_raise():
     """Powers are non-negative only; a negative one must not spin in the
     square-and-multiply loop."""
-    biv = GenusSeries.from_rows([QSeries(4, [1, 3]), QSeries(4, [0, 2])], 4)
-    for x in (QSeries(4, [1, 3]), biv):
-        assert x ** 2 == x * x
-        with pytest.raises(ValueError):
-            x ** -1
+    x = QSeries(4, [1, 3])
+    assert x ** 2 == x * x
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 # -- free energies -----------------------------------------------------------
@@ -229,7 +233,7 @@ def test_each_genus_starts_at_twice_its_handle_count():
 def test_low_genus_sum_misses_n1_only_from_g8():
     diff = F_all_N1(11)
     for h in range(4):
-        diff = diff - F_genus(h, 11)
+        diff = diff - lift(F_genus(h, 11))
     assert all(diff[n] == 0 for n in range(8))
     assert diff[8] != 0
 
@@ -243,7 +247,7 @@ def test_extracted_higher_genus_rows():
 def sum_rule_holds(order):
     total = QSeries.zero(order)
     for h in range(order // 2 + 1):
-        total = total + F_genus(h, order)
+        total = total + lift(F_genus(h, order))
     return total == F_all_N1(order)
 
 
@@ -278,9 +282,10 @@ def test_g2_of_matches_its_definition():
 def test_alpha_fixes_the_two_point_function():
     # At the substitution point the dressed two-point function is exactly 1.
     alpha = alpha_series(10)
-    rows = [G4_of(F_genus(h, 11)) for h in range(6)]
-    arg = GenusSeries.gee(10, 5) * alpha.reciprocal() ** 2
-    two_point = alpha.reciprocal() * (1 + arg * compose_rows(rows, arg))
+    rows = [G4_of(lift(F_genus(h, 11))) for h in range(6)]
+    inv = alpha.reciprocal()
+    arg = GenusSeries.gee(10, 5) * inv * inv
+    two_point = inv * (1 + arg * compose_rows(rows, arg))
     assert two_point == GenusSeries.constant(1, 10, 5)
 
 
@@ -288,7 +293,7 @@ def test_alpha_gamma_identity():
     # g Gamma(g) = alpha(g) - 1 - 2g, sector by sector, at every order.
     alpha = alpha_series(10)
     g = GenusSeries.gee(10, 5)
-    gamma = GenusSeries.from_rows([gamma_genus(h, 10) for h in range(6)], 10)
+    gamma = from_rows([gamma_genus(h, 10) for h in range(6)], 10)
     assert g * gamma == alpha - 1 - 2 * g
 
 
@@ -335,11 +340,58 @@ def test_g0_expansion():
 
 
 def test_g0_satisfies_its_fixed_point():
-    g0 = g0_series(10)
+    g0 = lift(g0_series(10))
     g = QSeries.gee(10)
-    gamma0 = gamma_genus(0, 10)
+    gamma0 = lift(gamma_genus(0, 10))
     rhs = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
     assert g0 == rhs
+
+
+def test_g0_and_gamma_tilde_equal_the_sweep():
+    """Lagrange inversion against the fixed-point sweep for g0 and a
+    composition per genus for Gamma~_h, at every order through g^20."""
+    for order in range(21):
+        g0 = g0_sweep(order)
+        assert g0_series(order) == g0
+        for h in range((order + 1) // 2 + 1):
+            assert gamma_tilde(h, order) == lift(gamma_genus(h, order)).compose(g0)
+
+
+def test_g0_solves_the_flype_quadratic():
+    """(1 + Gamma~_0)(g - 1)(g + g0) + 2g = 0: the renormalization
+    T(t)(g - 1)(g + t) + 2g = 0 at t = g0(g), as a series identity."""
+    for order in range(21):
+        g = QSeries.gee(order)
+        g0 = lift(g0_series(order))
+        lhs = (1 + lift(gamma_tilde(0, order))) * (g - 1) * (g + g0) + 2 * g
+        assert lhs == QSeries.zero(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 20])
+def test_flype_psi_solves_its_quadratic(order):
+    """phi = t/g(t) has integer coefficients, phi(0) = 1, rows above
+    genus 0 zero, Gamma's genus bound, and
+    T phi^2 + (T - t T - 2) phi - t T = 0 with T = 1 + Gamma0(t)."""
+    psi = _flype_psi(order)
+    assert (psi.n_max, psi.h_max) == (order, (order + 1) // 2)
+    assert all(c == 0 for row in psi.grid for c in row[1:])
+    phi = QSeries(order, [row[0] for row in psi.grid])
+    assert phi[0] == 1 and all(type(c) is int for c in phi.coeffs)
+    t = QSeries.gee(order)
+    big_t = 1 + lift(gamma_genus(0, order))
+    lhs = big_t * phi * phi + (big_t - t * big_t - 2) * phi - t * big_t
+    assert lhs == QSeries.zero(order)
+
+
+def test_lagrange_inversion_refuses_mismatched_shapes():
+    """A product of two shapes truncates to the smaller one, so a
+    genus-0-shaped phi would drop every Gamma~_h with h >= 1 unseen."""
+    gamma, psi = _gamma_all(6), _flype_psi(6)
+    for bad in (psi.truncate(6, 0), psi.truncate(5, psi.h_max)):
+        with pytest.raises(ValueError):
+            _at_u(gamma, bad)
+    with pytest.raises(ValueError):
+        _at_u(gamma.truncate(6, 0), psi)
 
 
 @pytest.mark.parametrize("h", sorted(GAMMA_TILDE_ROWS))
@@ -411,8 +463,8 @@ def n1_sums_match_a_univariate_pipeline(order):
     for _ in range(order + 1):
         g0 = g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1)
     rows = range((order + 1) // 2 + 1)
-    assert sum((gamma_genus(h, order) for h in rows), QSeries.zero(order)) == gamma_n1
-    tilde = sum((gamma_tilde(h, order) for h in rows), QSeries.zero(order))
+    assert sum((lift(gamma_genus(h, order)) for h in rows), QSeries.zero(order)) == gamma_n1
+    tilde = sum((lift(gamma_tilde(h, order)) for h in rows), QSeries.zero(order))
     assert tilde == gamma_n1.compose(g0)
     return gamma_n1, tilde
 
@@ -425,12 +477,17 @@ def test_n1_rows_through_order_14_match_a_univariate_pipeline():
 
 @pytest.mark.slow
 def test_deep_rows_through_order_40():
-    """The integer rows and alpha against the rational route, and the N=1
-    sums, at every genus through g^40."""
+    """The integer rows and alpha against the rational route, g0 and the
+    Gamma~_h rows against the sweep and a composition per genus, and the
+    N=1 sums, at every genus through g^40."""
     rows, alpha = gamma_rows_rational(40)
     for h, row in enumerate(rows):
         assert gamma_genus(h, 40) == row
     assert alpha_series(40) == alpha
+    g0 = g0_sweep(40)
+    assert g0_series(40) == g0
+    for h, row in enumerate(rows):
+        assert gamma_tilde(h, 40) == lift(row).compose(g0)
     n1_sums_match_a_univariate_pipeline(40)
 
 
