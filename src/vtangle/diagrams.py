@@ -21,16 +21,20 @@ positions::
 The over-strand runs west-east, the under-strand north-south.  An edge
 ``e`` therefore has its over end at crossing ``e // 2`` and its under end
 at crossing ``sigma^-1(e) // 2``.
+
+A strand passes over from ``e`` to ``e ^ 1`` and under from ``e`` to
+``rho~(e)``.  An :class:`OrientedDiagram` walks the strands once and keeps
+what the invariants read: edge senses, strand indices, crossing frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .codes import code_multiplicity
 from .perms import (
     Perm,
     check_perm,
-    compose,
     conjugate,
     inverse,
     pair_normalizer,
@@ -65,17 +69,13 @@ class LinkDiagram:
         return 2 * self.n
 
     @property
-    def rho(self) -> Perm:
-        return rho_perm(self.size)
-
-    @property
     def tau(self) -> Perm:
         s = self.sigma
         return tuple(s[a ^ 1] for a in range(len(s)))
 
     @property
     def rho_tilde(self) -> Perm:
-        return conjugate(self.sigma, self.rho)
+        return conjugate(self.sigma, rho_perm(self.size))
 
     # -- construction / text form -------------------------------------------
 
@@ -124,19 +124,51 @@ class TangleDiagram(LinkDiagram):
 
 @dataclass(frozen=True)
 class OrientedDiagram:
-    """A diagram together with a direction bit for each strand component."""
+    """A diagram together with a direction bit for each strand component.
+
+    The strand walk that checks ``bits`` also sets three derived fields,
+    outside equality, hash and repr: ``senses`` (per edge, +1 when its
+    strand runs from the under end to the over end), ``components`` (per
+    edge, its strand) and ``frames`` (per crossing, ``(over in, over out,
+    under in, under out, sign)``, the sign +1 when the over-strand crosses
+    the under-strand from its left to its right).
+    """
 
     diagram: LinkDiagram
     bits: tuple[int, ...]
+    senses: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    components: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    frames: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        comps = strand_components(self.diagram)
+        d = self.diagram
+        comps = strand_components(d)
         if len(self.bits) != len(comps):
             raise ValueError(
                 f"{len(self.bits)} direction bits for {len(comps)} components"
             )
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"direction bits must be 0 or 1: {self.bits}")
+        senses = [0] * d.size
+        ids = [0] * d.size
+        for i, (comp, bit) in enumerate(zip(comps, self.bits)):
+            flip = -1 if bit else 1
+            for e, s in comp:
+                senses[e] = s * flip
+                ids[e] = i
+        frames = []
+        for v in range(d.n):
+            w, x = 2 * v, 2 * v + 1
+            b_in, b_out = (w, x) if senses[w] == 1 else (x, w)
+            p, q = d.sigma[w], d.sigma[x]
+            a_in, a_out = (p, q) if senses[p] == -1 else (q, p)
+            if senses[a_in] != -1 or senses[a_out] != 1:
+                raise RuntimeError(f"under-strand at crossing {v} is not oriented through it")
+            eps = 1 if senses[w] == senses[p] else -1
+            frames.append((b_in, b_out, a_in, a_out, eps))
+        object.__setattr__(self, "senses", tuple(senses))
+        object.__setattr__(self, "components", tuple(ids))
+        object.__setattr__(self, "frames", tuple(frames))
 
 
 # -- structural quantities ---------------------------------------------------
@@ -188,11 +220,8 @@ def strand_components(d: LinkDiagram) -> list[list[tuple[int, int]]]:
 
 
 def component_count(d: LinkDiagram) -> int:
-    """Number of strands; equals half the cycle count of ``rho o rho~``."""
-    c = cycle_count(compose(d.rho, d.rho_tilde))
-    if c % 2:
-        raise RuntimeError(f"odd cycle count {c} of rho o rho~")
-    return c // 2
+    """Number of strands."""
+    return len(strand_components(d))
 
 
 def is_connected(d: LinkDiagram) -> bool:
@@ -297,8 +326,6 @@ def symmetry_order(d: LinkDiagram) -> int:
     """
     if not is_connected(d):
         raise ValueError("symmetry order is only defined for connected diagrams")
-    from .codes import code_multiplicity
-
     return code_multiplicity(d.sigma, marked=isinstance(d, TangleDiagram))
 
 
@@ -339,24 +366,6 @@ def orientations(d: LinkDiagram) -> list[OrientedDiagram]:
         OrientedDiagram(d, tuple((mask >> i) & 1 for i in range(c)))
         for mask in range(1 << c)
     ]
-
-
-def edge_senses(od: OrientedDiagram) -> tuple[int, ...]:
-    """Per-edge traversal sense (+1 under-to-over) for the chosen directions."""
-    senses = [0] * od.diagram.size
-    for comp, bit in zip(strand_components(od.diagram), od.bits):
-        flip = -1 if bit else 1
-        for e, s in comp:
-            senses[e] = s * flip
-    return tuple(senses)
-
-
-def edge_component_ids(d: LinkDiagram) -> tuple[int, ...]:
-    ids = [0] * d.size
-    for i, comp in enumerate(strand_components(d)):
-        for e, _ in comp:
-            ids[e] = i
-    return tuple(ids)
 
 
 # -- tangle operations -------------------------------------------------------

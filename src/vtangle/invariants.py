@@ -16,7 +16,7 @@ crossing plus compensating twist boxes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd
 
@@ -26,9 +26,8 @@ from .diagrams import (
     TangleDiagram,
     close_tangle_counted,
     component_count,
-    edge_component_ids,
-    edge_senses,
     genus,
+    orientations,
     symmetry_order,
     tangle_type,
 )
@@ -60,23 +59,6 @@ def _reference_orientation(d: LinkDiagram) -> OrientedDiagram:
     return OrientedDiagram(d, (0,) * component_count(d))
 
 
-def _crossing_frames(od: OrientedDiagram):
-    """Per crossing: (over in, over out, under in, under out, sign)."""
-    d = od.diagram
-    senses = edge_senses(od)
-    frames = []
-    for v in range(d.n):
-        w, x = 2 * v, 2 * v + 1
-        b_in, b_out = (w, x) if senses[w] == 1 else (x, w)
-        p, q = d.sigma[w], d.sigma[x]
-        a_in, a_out = (p, q) if senses[p] == -1 else (q, p)
-        if senses[a_in] != -1 or senses[a_out] != 1:
-            raise RuntimeError(f"under-strand at crossing {v} is not oriented through it")
-        eps = 1 if senses[w] == senses[d.sigma[w]] else -1
-        frames.append((b_in, b_out, a_in, a_out, eps))
-    return frames
-
-
 def linking_matrix(od: OrientedDiagram) -> tuple[tuple[int, ...], ...]:
     """Symmetric component-by-component sum of crossing signs.
 
@@ -84,11 +66,10 @@ def linking_matrix(od: OrientedDiagram) -> tuple[tuple[int, ...], ...]:
     over j or vice versa, so classical off-diagonal entries are twice the
     usual linking number; virtual ones need not be even.
     """
-    d = od.diagram
-    cid = edge_component_ids(d)
-    c = component_count(d)
+    cid = od.components
+    c = len(od.bits)
     ell = [[0] * c for _ in range(c)]
-    for b_in, _, a_in, _, eps in _crossing_frames(od):
+    for b_in, _, a_in, _, eps in od.frames:
         i, j = cid[b_in], cid[a_in]
         ell[i][j] += eps
         if i != j:
@@ -125,17 +106,15 @@ def alexander_variables(c: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(c)) + ("s",)
 
 
-def _relation_matrix(od: OrientedDiagram, variables=None, skip_crossing=None):
+def _relation_matrix(od: OrientedDiagram, skip_crossing=None):
     """Edge-relation matrix: one pair of rows per crossing, 2n columns.
 
     The outgoing under edge is t_b^e*a + (1 - s^e*t_a^e)*b and the
     outgoing over edge is s^e*b, with e the crossing sign; a, b the
     incoming under and over edges; t_a, t_b the component variables."""
     d = od.diagram
-    cid = edge_component_ids(d)
-    c = component_count(d)
-    if variables is None:
-        variables = alexander_variables(c)
+    cid = od.components
+    variables = alexander_variables(len(od.bits))
     zero = MultiLaurentPoly.zero(variables)
     one = MultiLaurentPoly.one(variables)
 
@@ -147,7 +126,7 @@ def _relation_matrix(od: OrientedDiagram, variables=None, skip_crossing=None):
         return MultiLaurentPoly.monomial(coeff, exps, variables)
 
     rows = []
-    for v, (b_in, b_out, a_in, a_out, eps) in enumerate(_crossing_frames(od)):
+    for v, (b_in, b_out, a_in, a_out, eps) in enumerate(od.frames):
         if v == skip_crossing:
             continue
         row1 = [zero] * d.size
@@ -182,18 +161,28 @@ def _permute_components(p: MultiLaurentPoly, perm) -> MultiLaurentPoly:
     return MultiLaurentPoly(p.variables, terms)
 
 
+def _least_rendering(d: LinkDiagram, values, variants):
+    """Least rendering over orientations and component relabellings.
+
+    ``values`` maps an oriented diagram to a tuple of polynomials, which
+    are rendered as strings after each relabelling; ``variants`` maps that
+    tuple of strings to the candidates it offers for the minimum."""
+    best = None
+    for od in orientations(d):
+        polys = values(od)
+        for perm in itertools.permutations(range(len(od.bits))):
+            texts = tuple(str(normalize_unit(_permute_components(p, perm))) for p in polys)
+            for variant in variants(texts):
+                if best is None or variant < best:
+                    best = variant
+    return best
+
+
 def alexander_canonical(d: LinkDiagram) -> str:
     """Alexander-0 as a string, minimized over orientations and component
     relabellings so equal diagrams always render identically."""
-    c = component_count(d)
-    best = None
-    for bits in itertools.product((0, 1), repeat=c):
-        p = alexander0(OrientedDiagram(d, bits))
-        for perm in itertools.permutations(range(c)):
-            text = str(normalize_unit(_permute_components(p, perm)))
-            if best is None or text < best:
-                best = text
-    return best
+    (text,) = _least_rendering(d, lambda od: (alexander0(od),), lambda texts: (texts,))
+    return text
 
 
 # -- integer specializations -------------------------------------------------
@@ -236,7 +225,7 @@ def determinant_invariant(d: LinkDiagram) -> int:
     row of M are equal.  When rank M < m-1 every cofactor vanishes.
     Either way the gcd of all m^2 cofactors is the gcd of the m that
     delete column 0."""
-    frames = _crossing_frames(_reference_orientation(d))
+    frames = _reference_orientation(d).frames
     size = d.size
     m = [[0] * size for _ in range(2 * d.n)]
     for v, (b_in, b_out, a_in, a_out, _) in enumerate(frames):
@@ -278,7 +267,7 @@ def group_morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
     """
     count = _morphism_count(od, group)
     if od.bits:
-        flipped = od.bits[:0] + (1 - od.bits[0],) + od.bits[1:]
+        flipped = (1 - od.bits[0],) + od.bits[1:]
         if count != _morphism_count(OrientedDiagram(od.diagram, flipped), group):
             raise RuntimeError("morphism count changed under orientation reversal")
     return count
@@ -288,7 +277,7 @@ def _morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
     d = od.diagram
     cons = [
         (v, a_in // 2, a_out // 2, eps)
-        for v, (_, _, a_in, a_out, eps) in enumerate(_crossing_frames(od))
+        for v, (_, _, a_in, a_out, eps) in enumerate(od.frames)
     ]
     n = d.n
     by_arc = [[] for _ in range(n)]
@@ -377,13 +366,17 @@ class _RotationDiagram:
             raise RuntimeError("stub wiring is not a fixed-point-free involution")
 
 
-def _rotation_of(d: LinkDiagram) -> _RotationDiagram:
+def _edge_stubs(d: LinkDiagram):
+    """Each edge ``e`` as ``(e, stub of its over end, stub of its under end)``."""
     sigma_inv = inverse(d.sigma)
-    pair = {}
     for e in range(d.size):
-        over = (e // 2, W if e % 2 == 0 else E)
         u = sigma_inv[e]
-        under = (u // 2, N if u % 2 == 0 else S)
+        yield e, (e // 2, W if e % 2 == 0 else E), (u // 2, N if u % 2 == 0 else S)
+
+
+def _rotation_of(d: LinkDiagram) -> _RotationDiagram:
+    pair = {}
+    for _, over, under in _edge_stubs(d):
         pair[over] = under
         pair[under] = over
     return _RotationDiagram(d.n, pair)
@@ -496,16 +489,12 @@ def cable_rotation(d: LinkDiagram) -> _RotationDiagram:
         row, col, s = _LANES[(slot, side)]
         return (grid(v, row, col), s)
 
-    ell = linking_matrix(_reference_orientation(d))
-    cid = edge_component_ids(d)
+    od = _reference_orientation(d)
+    ell = linking_matrix(od)
     twisted = set()
-    sigma_inv = inverse(d.sigma)
     box_serial = itertools.count()
-    for e in range(d.size):
-        over = (e // 2, W if e % 2 == 0 else E)
-        u = sigma_inv[e]
-        under = (u // 2, N if u % 2 == 0 else S)
-        comp = cid[e]
+    for e, over, under in _edge_stubs(d):
+        comp = od.components[e]
         w_i = ell[comp][comp]
         if w_i and comp not in twisted:
             twisted.add(comp)
@@ -558,7 +547,7 @@ def closure_jones(t: TangleDiagram) -> tuple[MultiLaurentPoly, MultiLaurentPoly]
 LEG_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _boundary_raw(od: OrientedDiagram, variables) -> tuple:
+def _boundary_raw(od: OrientedDiagram) -> tuple:
     """The six leg-pair Alexander determinants of the open tangle.
 
     Rows are the relation pairs of the real crossings only; for each pair
@@ -566,9 +555,9 @@ def _boundary_raw(od: OrientedDiagram, variables) -> tuple:
     legs sit on one shared edge leaves the matrix non-square and scores
     zero)."""
     t = od.diagram
-    rows = _relation_matrix(od, variables, skip_crossing=t.n - 1)
+    rows = _relation_matrix(od, skip_crossing=t.n - 1)
     legs = t.legs
-    zero = MultiLaurentPoly.zero(variables)
+    zero = MultiLaurentPoly.zero(alexander_variables(len(od.bits)))
     out = []
     for i, j in LEG_PAIRS:
         drop = {legs[i], legs[j]}
@@ -583,10 +572,6 @@ def _boundary_raw(od: OrientedDiagram, variables) -> tuple:
     return tuple(out)
 
 
-def tangle_closure_strings(t: TangleDiagram) -> tuple[str, str]:
-    return tuple(str(p) for p in closure_jones(t))
-
-
 # A half-turn of the tangle sends the legs (SW, NW, NE, SE) to
 # (NE, SE, SW, NW), which acts on LEG_PAIRS by this index permutation.
 HALF_TURN_PAIRS = (5, 1, 3, 2, 4, 0)
@@ -598,21 +583,9 @@ def boundary_record(t: TangleDiagram) -> tuple[str, ...]:
     the whole tangle.  The last one matters because a flype whose frame
     is the four legs carries the entire tangle through its own rotation,
     so records that kept the raw pair order would split such classes."""
-    c = component_count(t)
-    variables = alexander_variables(c)
-    best = None
-    for bits in itertools.product((0, 1), repeat=c):
-        values = _boundary_raw(OrientedDiagram(t, bits), variables)
-        for perm in itertools.permutations(range(c)):
-            six = tuple(
-                str(normalize_unit(_permute_components(p, perm)))
-                for p in values
-            )
-            turned = tuple(six[i] for i in HALF_TURN_PAIRS)
-            for variant in (six, turned):
-                if best is None or variant < best:
-                    best = variant
-    return best[:5]
+    return _least_rendering(
+        t, _boundary_raw, lambda six: (six, tuple(six[i] for i in HALF_TURN_PAIRS))
+    )[:5]
 
 
 # -- assembled records -------------------------------------------------------
@@ -643,22 +616,7 @@ class InvariantRecord:
     boundary: tuple[str, ...] | None = None
 
     def separation_key(self) -> tuple:
-        return (
-            self.n,
-            self.genus,
-            self.components,
-            self.twist,
-            self.linking,
-            self.bracket,
-            self.jones,
-            self.alexander,
-            self.determinant,
-            self.morphisms,
-            self.cabled,
-            self.tangle_type,
-            self.closures,
-            self.boundary,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "symmetry")
 
 
 def link_record(
@@ -674,14 +632,14 @@ def link_record(
     if isinstance(d, TangleDiagram):
         extra = {
             "tangle_type": tangle_type(d),
-            "closures": tangle_closure_strings(d),
+            "closures": tuple(str(p) for p in closure_jones(d)),
             "boundary": boundary_record(d),
         }
     b, t = bracket(d), twist_number(d)
     return InvariantRecord(
         n=d.n,
         genus=genus(d),
-        components=component_count(d),
+        components=len(od.bits),
         symmetry=symmetry_order(d),
         twist=t,
         linking=linking_profile(d),

@@ -148,11 +148,6 @@ class MultiLaurentPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    # -- queries -------------------------------------------------------------
-
-    def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self):

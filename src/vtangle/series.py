@@ -117,23 +117,26 @@ class GenusSeries:
     def __repr__(self):
         return f"GenusSeries({self.n_max}, {self.h_max}, {[list(r) for r in self.grid]!r})"
 
-    def _join(self, other):
+    def _join(self, other) -> "GenusSeries":
+        """``other`` as a series of this shape: scalars coerce, and a series
+        of another shape is refused rather than cut down unseen."""
         if not isinstance(other, GenusSeries):
-            other = GenusSeries.constant(other, self.n_max, self.h_max)
+            return GenusSeries.constant(other, self.n_max, self.h_max)
         if (other.n_max, other.h_max) != (self.n_max, self.h_max):
-            n, h = min(self.n_max, other.n_max), min(self.h_max, other.h_max)
-            return self.truncate(n, h), other.truncate(n, h)
-        return self, other
+            raise ValueError(
+                f"series shapes differ: {(self.n_max, self.h_max)} and {(other.n_max, other.h_max)}"
+            )
+        return other
 
     def truncate(self, n_max: int, h_max: int) -> "GenusSeries":
         return GenusSeries(n_max, h_max, [row[: h_max + 1] for row in self.grid[: n_max + 1]])
 
     def __add__(self, other):
-        a, b = self._join(other)
+        b = self._join(other)
         grid = [
-            [x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.grid, b.grid)
+            [x + y for x, y in zip(ra, rb)] for ra, rb in zip(self.grid, b.grid)
         ]
-        return GenusSeries(a.n_max, a.h_max, grid)
+        return GenusSeries(self.n_max, self.h_max, grid)
 
     __radd__ = __add__
 
@@ -143,8 +146,7 @@ class GenusSeries:
         )
 
     def __sub__(self, other):
-        a, b = self._join(other)
-        return a + (-b)
+        return self + (-self._join(other))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -153,11 +155,11 @@ class GenusSeries:
         if not isinstance(other, GenusSeries):
             grid = [[c * other for c in row] for row in self.grid]
             return GenusSeries(self.n_max, self.h_max, grid)
-        a, b = self._join(other)
-        n_max, h_max = a.n_max, a.h_max
+        b = self._join(other)
+        n_max, h_max = self.n_max, self.h_max
         terms = [(n, h, c) for n, row in enumerate(b.grid) for h, c in enumerate(row) if c]
         grid = [[0] * (h_max + 1) for _ in range(n_max + 1)]
-        for n1, row in enumerate(a.grid):
+        for n1, row in enumerate(self.grid):
             for h1, c in enumerate(row):
                 if not c:
                     continue
@@ -285,8 +287,8 @@ def _at_u(f: GenusSeries, psi: GenusSeries) -> GenusSeries:
     (Flajolet and Sedgewick, Analytic Combinatorics, CUP 2009, Thm A.2).
     With integer f and psi, u(g) and f(u(g)) have integer coefficients,
     so the division by n is exact.  f' is known through u^(n_max-1),
-    as far as the rows read.  f and psi must have the same shape: a
-    product would truncate to the smaller one and drop rows unseen."""
+    as far as the rows read.  f and psi must have the same shape: f's
+    rows are read into psi's shape, which would pad or cut them unseen."""
     n_max, h_max = psi.n_max, psi.h_max
     if (f.n_max, f.h_max) != (n_max, h_max):
         raise ValueError(

@@ -68,7 +68,7 @@ from pathlib import Path
 
 from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.codes import _roots
-from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram, edge_senses
+from vtangle.diagrams import LinkDiagram, OrientedDiagram, TangleDiagram
 from vtangle.flypes import FlypeClass, FlypeSite, _rewire, flype_sites
 from vtangle.groups import FiniteGroup
 from vtangle.invariants import (
@@ -78,7 +78,6 @@ from vtangle.invariants import (
     S,
     W,
     _amono,
-    _crossing_frames,
     _delta_power,
     _int_det,
     _reference_orientation,
@@ -682,7 +681,7 @@ def vertex_sign(od: OrientedDiagram, v: int) -> int:
     d = od.diagram
     if not 0 <= v < d.n:
         raise ValueError(f"no crossing {v} in a diagram with n={d.n}")
-    senses = edge_senses(od)
+    senses = od.senses
     a = 2 * v
     return 1 if senses[a] == senses[d.sigma[a]] else -1
 
@@ -970,7 +969,7 @@ def morphism_count_bruteforce(od: OrientedDiagram, perms) -> int:
     elems = [tuple(p) for p in perms]
     relations = [
         (b_in // 2, a_in // 2, a_out // 2, eps)
-        for b_in, _, a_in, a_out, eps in _crossing_frames(od)
+        for b_in, _, a_in, a_out, eps in od.frames
     ]
     count = 0
     for f in itertools.product(elems, repeat=od.diagram.n):
@@ -1097,7 +1096,7 @@ def jones_span(p: MultiLaurentPoly) -> int:
 def determinant_by_every_cofactor(d: LinkDiagram) -> int:
     """The gcd of all m^2 cofactors of the relation matrix at t=-1, s=1,
     against the library's one column of them."""
-    frames = _crossing_frames(_reference_orientation(d))
+    frames = _reference_orientation(d).frames
     size = d.size
     m = [[0] * size for _ in range(2 * d.n)]
     for v, (b_in, b_out, a_in, a_out, _) in enumerate(frames):

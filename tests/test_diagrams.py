@@ -17,8 +17,6 @@ from vtangle.diagrams import (
     close_tangle_counted,
     component_count,
     cut_labels,
-    edge_component_ids,
-    edge_senses,
     genus,
     has_self_energy,
     is_connected,
@@ -32,6 +30,7 @@ from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.perms import (
     compose,
     conjugate,
+    cycle_count,
     cycles,
     inverse,
     is_fixed_point_free,
@@ -149,10 +148,13 @@ def test_strand_senses_alternate():
 
 
 def test_edges_partition_into_strands():
+    """The strand walk against a second route: rho o rho~ runs along a
+    strand two edges at a time, so each strand is two of its cycles."""
     for d in small_links():
-        ids = edge_component_ids(d)
-        assert len(set(ids)) == component_count(d)
+        ids = OrientedDiagram(d, (0,) * component_count(d)).components
         assert len(ids) == d.size
+        assert len(set(ids)) == component_count(d)
+        assert 2 * component_count(d) == cycle_count(compose(rho_perm(d.size), d.rho_tilde))
 
 
 def test_relabelling_preserves_shape():
@@ -267,13 +269,33 @@ class TestOrientations:
     def test_senses_flip_with_the_component_bit(self):
         for d in small_links(2):
             ods = orientations(d)
-            base = edge_senses(ods[0])
-            ids = edge_component_ids(d)
+            base = ods[0].senses
             for od in ods[1:]:
-                s = edge_senses(od)
+                assert od.components == ods[0].components
                 for e in range(d.size):
-                    expected = -base[e] if od.bits[ids[e]] else base[e]
-                    assert s[e] == expected
+                    expected = -base[e] if od.bits[od.components[e]] else base[e]
+                    assert od.senses[e] == expected
+
+    def test_frames_read_the_crossings(self):
+        """Per crossing: the over pair is its block and the under pair its
+        sigma-image.  Senses run from the under end to the over end, so
+        the under pair reads -1 in and +1 out, and the over pair +1 in and
+        -1 out.  The sign is the oracle's."""
+        for d in itertools.chain(small_links(3), small_tangles(2), [EXAMPLE]):
+            for od in orientations(d):
+                assert len(od.frames) == d.n
+                for v, (b_in, b_out, a_in, a_out, eps) in enumerate(od.frames):
+                    assert {b_in, b_out} == {2 * v, 2 * v + 1}
+                    assert {a_in, a_out} == {d.sigma[2 * v], d.sigma[2 * v + 1]}
+                    assert (od.senses[b_in], od.senses[b_out]) == (1, -1)
+                    assert (od.senses[a_in], od.senses[a_out]) == (-1, 1)
+                    assert eps == vertex_sign(od, v)
+
+    def test_derived_fields_stay_out_of_equality(self):
+        od = OrientedDiagram(EXAMPLE, (1,))
+        assert od == OrientedDiagram(EXAMPLE, (1,)) != OrientedDiagram(EXAMPLE, (0,))
+        assert hash(od) == hash(OrientedDiagram(EXAMPLE, (1,)))
+        assert repr(od) == f"OrientedDiagram(diagram={EXAMPLE!r}, bits=(1,))"
 
     def test_crossing_signs_survive_global_reversal(self):
         for d in small_links(2):

@@ -137,6 +137,39 @@ def test_cabled_jones_is_pinned_on_small_links():
     assert got == CABLED_JONES_PINS
 
 
+# sha256 of repr((code, record)) over each set, in census order.
+WHOLE_RECORD_PINS = {
+    "links": "5a372e71831b2ed2ecca18fac020e5442061a85d7038361b9b73b566304c2084",
+    "cabled_links": "f2a5f569c108034e96bb4aadb6c28f82fd0bfd27d29dfd4a146f0442c0d47012",
+    "tangles": "4c454e39e70aeb412e29bc6e602d6dabec02c0fe1d5da77c6bdfe3d0b471f900",
+}
+
+
+@pytest.mark.parametrize(
+    "name, mode, n_max, with_groups, cabled, total",
+    [
+        ("links", "link", 4, True, False, 30),
+        ("cabled_links", "link", 4, False, True, 30),
+        ("tangles", "tangle", 3, False, False, 94),
+    ],
+)
+def test_whole_records_are_pinned(name, mode, n_max, with_groups, cabled, total):
+    """Every field of every record, the symmetry order and the tangles'
+    boundary data included, on the self-energy-free census: links with
+    morphism counts into all five built-in groups, the same links with the
+    2-cable, and tangles."""
+    groups = tuple(builtin_groups().values()) if with_groups else ()
+    digest = hashlib.sha256()
+    seen = 0
+    for n in range(1, n_max + 1):
+        for e in enumerate_diagrams(n, mode):
+            record = link_record(e.diagram, groups, include_cabled=cabled)
+            digest.update(repr((e.code, record)).encode())
+            seen += 1
+    assert seen == total
+    assert digest.hexdigest() == WHOLE_RECORD_PINS[name]
+
+
 def _relabelled(group: FiniteGroup, rng: random.Random) -> FiniteGroup:
     """The same group with its elements renamed by a random bijection."""
     name = list(range(group.order))

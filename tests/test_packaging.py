@@ -118,11 +118,17 @@ def test_moved_names_stay_out_of_the_library(name):
         "vtangle.diagrams:_orbit_size",
         "vtangle.diagrams:LinkDiagram.from_sigma",
         "vtangle.diagrams:close_tangle",
+        "vtangle.diagrams:edge_senses",
+        "vtangle.diagrams:edge_component_ids",
+        "vtangle.diagrams:LinkDiagram.rho",
         "vtangle.flypes:_surgery",
         "vtangle.laurent:MultiLaurentPoly.is_constant",
         "vtangle.laurent:MultiLaurentPoly.leading_term",
+        "vtangle.laurent:MultiLaurentPoly.coefficient",
         "vtangle.invariants:boundary_determinants",
         "vtangle.invariants:tangle_record",
+        "vtangle.invariants:_crossing_frames",
+        "vtangle.invariants:tangle_closure_strings",
         "vtangle.series:GenusSeries.derivative_g",
         "vtangle.series:GenusSeries.shift_g",
         "vtangle.series:_fixed_point",

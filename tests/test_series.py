@@ -8,6 +8,7 @@ which share no code with the rooted-map recurrence of the library.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,23 @@ def test_genus_series_reciprocal():
     rows = [QSeries(6, [1, 3, 1]), QSeries(6, [0, 2])]
     biv = from_rows(rows, 6)
     assert biv * biv.reciprocal() == GenusSeries.constant(1, 6, 1)
+
+
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul], ids=lambda op: op.__name__
+)
+def test_genus_series_of_different_shapes_do_not_mix(op):
+    """Two shapes do not mix, either way round, so no row one of them lacks
+    is dropped unseen; scalars still coerce."""
+    a = GenusSeries.gee(4, 2)
+    for b in (GenusSeries.gee(3, 2), GenusSeries.gee(4, 1)):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    three = GenusSeries.constant(3, 4, 2)
+    assert op(a, 3) == op(a, three)
+    assert op(3, a) == op(three, a)
 
 
 def test_coefficients_keep_their_exact_type():
@@ -384,8 +402,8 @@ def test_flype_psi_solves_its_quadratic(order):
 
 
 def test_lagrange_inversion_refuses_mismatched_shapes():
-    """A product of two shapes truncates to the smaller one, so a
-    genus-0-shaped phi would drop every Gamma~_h with h >= 1 unseen."""
+    """f's rows are read into psi's shape, so a genus-0-shaped phi would
+    drop every Gamma~_h with h >= 1 unseen."""
     gamma, psi = _gamma_all(6), _flype_psi(6)
     for bad in (psi.truncate(6, 0), psi.truncate(5, psi.h_max)):
         with pytest.raises(ValueError):
