@@ -57,11 +57,15 @@ from .diagrams import (
 
 
 def canonical_form(d: LinkDiagram) -> Perm:
-    """Lexicographically minimal image list over all relabellings of ``d``.
+    """Canonical form of ``d``: two diagrams of one kind have equal forms
+    exactly when a relabelling carries one to the other.
 
-    Two diagrams are relabelling-equivalent exactly when their canonical
-    forms agree.  For tangles the minimum is over relabellings fixing the
-    marked block pointwise.
+    For links it is the lexicographically least image list over all
+    relabellings of ``d``.  For tangles the relabellings fix the marked
+    block pointwise, and the form is the marked canonical code of
+    :mod:`vtangle.codes`, the least trace over the unmarked roots with the
+    marked block kept on top; that need not be the least image list over
+    those relabellings.
     """
     return canonical_code(d.sigma, marked=isinstance(d, TangleDiagram))
 

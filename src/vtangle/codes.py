@@ -212,6 +212,6 @@ def canonical_code(sigma: Perm, marked: bool = False) -> Perm:
     return canonical_code_stats(sigma, marked)[0]
 
 
-def code_multiplicity(sigma: Perm, marked: bool = False) -> int:
+def code_multiplicity(sigma: Perm) -> int:
     """Number of roots whose trace reproduces the canonical code."""
-    return canonical_code_stats(sigma, marked)[1]
+    return canonical_code_stats(sigma)[1]

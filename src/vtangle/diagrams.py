@@ -37,7 +37,6 @@ from .perms import (
     check_perm,
     conjugate,
     inverse,
-    pair_normalizer,
     parse_perm,
     format_perm,
     rho_perm,
@@ -321,46 +320,29 @@ def symmetry_order(d: LinkDiagram) -> int:
     """Order of the group of relabellings fixing the diagram.
 
     Always a divisor of the number of admissible roots (``2n`` for links);
-    requires a connected diagram.  For tangles the marked block is pinned
-    and the count is over relabellings fixing it pointwise.
+    requires a connected diagram.  For tangles the count is over
+    relabellings fixing the marked block pointwise, and it is 1: a
+    relabelling that fixes the diagram commutes with ``sigma`` and the
+    block pairing, so one that fixes a label fixes that label's whole
+    orbit, which in a connected diagram is every label.
     """
     if not is_connected(d):
         raise ValueError("symmetry order is only defined for connected diagrams")
-    return code_multiplicity(d.sigma, marked=isinstance(d, TangleDiagram))
-
-
-# -- discrete transforms -----------------------------------------------------
-
-TRANSFORM_KINDS = ("mirror", "over_under", "flip")
-
-
-def transform(d: LinkDiagram, kind: str) -> LinkDiagram:
-    """Mirror image, over/under exchange, or flip (both at once).
-
-    Mirror exchanges white and black faces and keeps all labels.  The other
-    two turn the under-edge pairing into the block pairing, so the result is
-    relabelled to put that pairing back into normal form.  On a tangle only
-    the mirror keeps the marked block marked; the other kinds return the
-    underlying link diagram.
-    """
-    if kind == "mirror":
-        new_sigma = d.tau
-        return type(d)(d.n, new_sigma)
-    if kind == "over_under":
-        raw = inverse(d.tau)
-    elif kind == "flip":
-        raw = inverse(d.sigma)
-    else:
-        raise ValueError(f"unknown transform {kind!r}; pick from {TRANSFORM_KINDS}")
-    g = pair_normalizer(d.rho_tilde)
-    return LinkDiagram(d.n, conjugate(g, raw))
+    if isinstance(d, TangleDiagram):
+        return 1
+    return code_multiplicity(d.sigma)
 
 
 # -- orientations and crossing signs ----------------------------------------
 
 
 def orientations(d: LinkDiagram) -> list[OrientedDiagram]:
-    """All ``2^c`` choices of strand directions."""
+    """All ``2^c`` choices of strand directions.
+
+    Entry ``mask`` sets bit ``i`` of the mask on component ``i``, so entry 0
+    has every bit 0: it is the reference orientation, in which each strand
+    runs the way :func:`strand_components` lists it.
+    """
     c = component_count(d)
     return [
         OrientedDiagram(d, tuple((mask >> i) & 1 for i in range(c)))

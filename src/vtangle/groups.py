@@ -124,15 +124,6 @@ class FiniteGroup:
     def cyclic(cls, k: int) -> "FiniteGroup":
         return cls(f"Z{k}", [[(a + b) % k for b in range(k)] for a in range(k)])
 
-    @classmethod
-    def dihedral(cls, k: int) -> "FiniteGroup":
-        """Symmetries of the k-gon, as permutations of its vertices."""
-        if k < 3:
-            raise ValueError("the dihedral construction needs k >= 3")
-        rotations = [tuple((i + r) % k for i in range(k)) for r in range(k)]
-        flips = [tuple((r - i) % k for i in range(k)) for r in range(k)]
-        return cls.from_permutations(f"D{k}", rotations + flips)
-
     def direct_product(self, other: "FiniteGroup", name: str | None = None) -> "FiniteGroup":
         m = other.order
         table = [

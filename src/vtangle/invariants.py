@@ -11,6 +11,11 @@ per pairing of the open stubs, a tally of a-powers and closed loops.
 `bracket`, `jones`, `closure_jones` and `cabled_jones` all reach it; the
 2-cable is the same kind of wiring, with a grid of parallel copies per
 crossing plus compensating twist boxes.
+
+An invariant that depends on orientation takes the `OrientedDiagram` it
+reads; those that minimise over every orientation take the list
+`orientations` returns.  `link_record` builds that list once per record
+and uses its entry 0 as the reference orientation.
 """
 
 from __future__ import annotations
@@ -55,10 +60,6 @@ def bracket(d: LinkDiagram) -> MultiLaurentPoly:
     return _state_sum(_rotation_of(d))
 
 
-def _reference_orientation(d: LinkDiagram) -> OrientedDiagram:
-    return OrientedDiagram(d, (0,) * component_count(d))
-
-
 def linking_matrix(od: OrientedDiagram) -> tuple[tuple[int, ...], ...]:
     """Symmetric component-by-component sum of crossing signs.
 
@@ -77,22 +78,15 @@ def linking_matrix(od: OrientedDiagram) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in ell)
 
 
-def twist_number(d: LinkDiagram) -> int:
+def twist_number(od: OrientedDiagram) -> int:
     """Sum of self-crossing signs over all components; orientation-free."""
-    ell = linking_matrix(_reference_orientation(d))
+    ell = linking_matrix(od)
     return sum(ell[i][i] for i in range(len(ell)))
 
 
-def linking_profile(d: LinkDiagram) -> tuple[int, ...]:
-    """Sorted multiset of absolute linking entries on and above the diagonal."""
-    ell = linking_matrix(_reference_orientation(d))
-    c = len(ell)
-    return tuple(sorted(abs(ell[i][j]) for i in range(c) for j in range(i, c)))
-
-
-def jones(d: LinkDiagram) -> MultiLaurentPoly:
+def jones(od: OrientedDiagram) -> MultiLaurentPoly:
     """(-a)^(-3t) times the bracket, t the total self-twist."""
-    return _twist_normalised(bracket(d), twist_number(d))
+    return _twist_normalised(bracket(od.diagram), twist_number(od))
 
 
 def _twist_normalised(b: MultiLaurentPoly, t: int) -> MultiLaurentPoly:
@@ -161,14 +155,14 @@ def _permute_components(p: MultiLaurentPoly, perm) -> MultiLaurentPoly:
     return MultiLaurentPoly(p.variables, terms)
 
 
-def _least_rendering(d: LinkDiagram, values, variants):
-    """Least rendering over orientations and component relabellings.
+def _least_rendering(ods: list[OrientedDiagram], values, variants):
+    """Least rendering over the orientations ``ods`` and component relabellings.
 
     ``values`` maps an oriented diagram to a tuple of polynomials, which
     are rendered as strings after each relabelling; ``variants`` maps that
     tuple of strings to the candidates it offers for the minimum."""
     best = None
-    for od in orientations(d):
+    for od in ods:
         polys = values(od)
         for perm in itertools.permutations(range(len(od.bits))):
             texts = tuple(str(normalize_unit(_permute_components(p, perm))) for p in polys)
@@ -178,10 +172,11 @@ def _least_rendering(d: LinkDiagram, values, variants):
     return best
 
 
-def alexander_canonical(d: LinkDiagram) -> str:
-    """Alexander-0 as a string, minimized over orientations and component
-    relabellings so equal diagrams always render identically."""
-    (text,) = _least_rendering(d, lambda od: (alexander0(od),), lambda texts: (texts,))
+def alexander_canonical(ods: list[OrientedDiagram]) -> str:
+    """Alexander-0 as a string, minimized over the orientations ``ods`` of
+    a diagram (all of them) and component relabellings so equal diagrams
+    always render identically."""
+    (text,) = _least_rendering(ods, lambda od: (alexander0(od),), lambda texts: (texts,))
     return text
 
 
@@ -211,7 +206,7 @@ def _int_det(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def determinant_invariant(d: LinkDiagram) -> int:
+def determinant_invariant(od: OrientedDiagram) -> int:
     """Alexander data at s=1, all t_i=t, evaluated at t=-1.
 
     At that point both relation variants collapse to a+a'-2b = 0 and
@@ -225,10 +220,9 @@ def determinant_invariant(d: LinkDiagram) -> int:
     row of M are equal.  When rank M < m-1 every cofactor vanishes.
     Either way the gcd of all m^2 cofactors is the gcd of the m that
     delete column 0."""
-    frames = _reference_orientation(d).frames
-    size = d.size
-    m = [[0] * size for _ in range(2 * d.n)]
-    for v, (b_in, b_out, a_in, a_out, _) in enumerate(frames):
+    size = od.diagram.size
+    m = [[0] * size for _ in range(size)]
+    for v, (b_in, b_out, a_in, a_out, _) in enumerate(od.frames):
         m[2 * v][a_out] += 1
         m[2 * v][a_in] += 1
         m[2 * v][b_in] -= 2
@@ -461,12 +455,13 @@ _LANES = {
 }
 
 
-def cable_rotation(d: LinkDiagram) -> _RotationDiagram:
+def cable_rotation(od: OrientedDiagram) -> _RotationDiagram:
     """The 2-cable: a 2x2 grid of crossings per crossing, twist-compensated.
 
     Every component gets enough oppositely-signed twist boxes on one of
     its doubled edges to cancel the linking the blackboard cable gives
     the two copies, leaving the new strings unlinked."""
+    d = od.diagram
     ids = {}
 
     def grid(v, row, col):
@@ -489,7 +484,6 @@ def cable_rotation(d: LinkDiagram) -> _RotationDiagram:
         row, col, s = _LANES[(slot, side)]
         return (grid(v, row, col), s)
 
-    od = _reference_orientation(d)
     ell = linking_matrix(od)
     twisted = set()
     box_serial = itertools.count()
@@ -519,13 +513,13 @@ def cable_rotation(d: LinkDiagram) -> _RotationDiagram:
     return _RotationDiagram(len(ids), pair)
 
 
-def cabled_jones(d: LinkDiagram) -> MultiLaurentPoly:
+def cabled_jones(od: OrientedDiagram) -> MultiLaurentPoly:
     """Jones of the zero-linked 2-cable."""
-    t = twist_number(d)
+    t = twist_number(od)
     # Each self-crossing doubles into two diagonal self-crossings of the
     # copies, so the cable's own twist is 2t; the compensating boxes only
     # touch mixed pairs.
-    return _amono(1, -6 * t) * _state_sum(cable_rotation(d))
+    return _amono(1, -6 * t) * _state_sum(cable_rotation(od))
 
 
 # -- tangle invariants -------------------------------------------------------
@@ -540,7 +534,8 @@ def closure_jones(t: TangleDiagram) -> tuple[MultiLaurentPoly, MultiLaurentPoly]
     out = []
     for pattern in ("numerator", "denominator"):
         closed, circles = close_tangle_counted(t, pattern)
-        out.append(jones(closed) * _delta_power(circles))
+        od = OrientedDiagram(closed, (0,) * component_count(closed))
+        out.append(jones(od) * _delta_power(circles))
     return tuple(out)
 
 
@@ -577,14 +572,15 @@ def _boundary_raw(od: OrientedDiagram) -> tuple:
 HALF_TURN_PAIRS = (5, 1, 3, 2, 4, 0)
 
 
-def boundary_record(t: TangleDiagram) -> tuple[str, ...]:
-    """Five boundary determinants, canonical under what a flype sequence
-    can change: strand orientations, component labels, and a half-turn of
-    the whole tangle.  The last one matters because a flype whose frame
+def boundary_record(ods: list[OrientedDiagram]) -> tuple[str, ...]:
+    """Five boundary determinants of a tangle, from ``ods``, the list of
+    all its orientations, canonical under what a flype sequence can
+    change: strand orientations, component labels, and a half-turn of the
+    whole tangle.  The last one matters because a flype whose frame
     is the four legs carries the entire tangle through its own rotation,
     so records that kept the raw pair order would split such classes."""
     return _least_rendering(
-        t, _boundary_raw, lambda six: (six, tuple(six[i] for i in HALF_TURN_PAIRS))
+        ods, _boundary_raw, lambda six: (six, tuple(six[i] for i in HALF_TURN_PAIRS))
     )[:5]
 
 
@@ -624,7 +620,11 @@ def link_record(
     groups: tuple[FiniteGroup, ...] = (),
     include_cabled: bool = False,
 ) -> InvariantRecord:
-    od = _reference_orientation(d)
+    ods = orientations(d)
+    od = ods[0]
+    ell = linking_matrix(od)
+    c = len(ell)
+    t = sum(ell[i][i] for i in range(c))
     morphs = tuple(
         sorted((g.name, group_morphism_count(od, g)) for g in groups)
     )
@@ -633,21 +633,21 @@ def link_record(
         extra = {
             "tangle_type": tangle_type(d),
             "closures": tuple(str(p) for p in closure_jones(d)),
-            "boundary": boundary_record(d),
+            "boundary": boundary_record(ods),
         }
-    b, t = bracket(d), twist_number(d)
+    b = bracket(d)
     return InvariantRecord(
         n=d.n,
         genus=genus(d),
-        components=len(od.bits),
+        components=c,
         symmetry=symmetry_order(d),
         twist=t,
-        linking=linking_profile(d),
+        linking=tuple(sorted(abs(ell[i][j]) for i in range(c) for j in range(i, c))),
         bracket=str(b),
         jones=str(_twist_normalised(b, t)),
-        alexander=alexander_canonical(d),
-        determinant=determinant_invariant(d),
+        alexander=alexander_canonical(ods),
+        determinant=determinant_invariant(od),
         morphisms=morphs,
-        cabled=str(cabled_jones(d)) if include_cabled else None,
+        cabled=str(cabled_jones(od)) if include_cabled else None,
         **extra,
     )

@@ -56,13 +56,6 @@ class MultiLaurentPoly:
     def monomial(cls, coeff: int, exps, variables) -> "MultiLaurentPoly":
         return cls(variables, {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, name: str, variables) -> "MultiLaurentPoly":
-        variables = tuple(variables)
-        exps = [0] * len(variables)
-        exps[variables.index(name)] = 1
-        return cls(variables, {tuple(exps): 1})
-
     # -- ring structure ------------------------------------------------------
 
     def _coerce(self, other) -> "MultiLaurentPoly":
@@ -113,27 +106,6 @@ class MultiLaurentPoly:
         return MultiLaurentPoly(self.variables, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            # Only units (single terms with coefficient +-1) are invertible.
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial")
-            ((exps, coeff),) = self.terms.items()
-            if coeff not in (1, -1):
-                raise ValueError("negative power of a non-unit coefficient")
-            inv = MultiLaurentPoly(
-                self.variables, {tuple(-e for e in exps): coeff}
-            )
-            return inv ** (-k)
-        out = MultiLaurentPoly.one(self.variables)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -19,11 +19,7 @@ inverted has constant term 1, so alpha, Gamma_h, g0 and Gamma~_h run on
 Python ints.  Every stage takes its truncation order as an argument and
 no order is capped; the genera follow from it, h <= order//2 for the
 free energies and h <= (order+1)//2 for the Gamma rows.  The resulting rows are the reference numbers the census and flype
-modules are tested against.
-
-Floating point appears in exactly one place, the growth diagnostic, which
-estimates the radius of convergence and singularity exponent from
-coefficient ratios and makes no exactness claims.
+modules are tested against.  No floating point appears.
 """
 
 from __future__ import annotations
@@ -379,35 +375,3 @@ def gamma_tilde(h: int, order: int) -> QSeries:
     _check_genus(h, (order + 1) // 2)
     return _gamma_tilde_all(order).row(h)
 
-
-# -- growth diagnostics ------------------------------------------------------
-
-
-def growth_diagnostic(s: QSeries) -> tuple[float, float]:
-    """Estimate (g_c, e) for coefficients behaving like (g_c - g)^e.
-
-    Ratio analysis with one Richardson step; purely numerical, intended
-    for eyeballing asymptotics rather than exact checks.  Needs at least
-    six consecutive nonzero trailing coefficients.
-    """
-    coeffs = list(s.coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    run = 0
-    for c in reversed(coeffs):
-        if not c:
-            break
-        run += 1
-    if run < 6:
-        raise ValueError("need at least six consecutive nonzero trailing coefficients")
-    start = len(coeffs) - run
-    ratios = {
-        n: float(coeffs[n] / coeffs[n - 1])
-        for n in range(start + 1, len(coeffs))
-    }
-    ns = sorted(ratios)
-    inv_gc = ns[-1] * ratios[ns[-1]] - ns[-2] * ratios[ns[-2]]
-    gc = 1.0 / inv_gc
-    exps = {n: -1.0 - n * (gc * ratios[n] - 1.0) for n in ns}
-    exponent = ns[-1] * exps[ns[-1]] - (ns[-2]) * exps[ns[-2]]
-    return gc, exponent

@@ -41,8 +41,11 @@ group-table file reader and writer are test plumbing, and so are
 ``canonical_diagram``, ``relabel`` (conjugation by a block-preserving
 relabelling), ``weighted_link_counts`` (the census weights that meet the
 free energies), ``real_crossings``, ``vertex_sign``, ``mul`` (a product
-read off a group's table), ``jones_span`` and ``evaluate`` (substitution
-into a Laurent polynomial): only tests call them.
+read off a group's table), ``dihedral`` (a test group), ``transform``
+(mirror, over/under exchange and flip), ``jones_span``, ``variable``,
+``power`` and ``evaluate`` (substitution into a Laurent polynomial) and
+``growth_diagnostic`` (a ratio estimate of g_c and the exponent): only
+tests call them.
 
 The morphism count is brute force too: every labelling of the arcs by
 permutation tuples, each crossing relation checked by composing them,
@@ -80,12 +83,20 @@ from vtangle.invariants import (
     _amono,
     _delta_power,
     _int_det,
-    _reference_orientation,
     _RotationDiagram,
     _rotation_of,
 )
 from vtangle.laurent import MultiLaurentPoly
-from vtangle.perms import Perm, check_perm, compose, conjugate, cycle_count, inverse, rho_perm
+from vtangle.perms import (
+    Perm,
+    check_perm,
+    compose,
+    conjugate,
+    cycle_count,
+    inverse,
+    pair_normalizer,
+    rho_perm,
+)
 import vtangle.series
 from vtangle.series import F_genus, GenusSeries, _unit_inverse, gamma_genus
 
@@ -293,6 +304,36 @@ def g0_sweep(order: int) -> QSeries:
     if g0 != g * (2 * ((1 - g) * (1 + gamma0.compose(g0))).reciprocal() - 1):
         raise RuntimeError("fixed point did not settle")
     return g0
+
+
+def growth_diagnostic(s: QSeries) -> tuple[float, float]:
+    """Estimate (g_c, e) for coefficients behaving like (g_c - g)^e.
+
+    Ratio analysis with one Richardson step; purely numerical, intended
+    for eyeballing asymptotics rather than exact checks.  Needs at least
+    six consecutive nonzero trailing coefficients.
+    """
+    coeffs = list(s.coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    run = 0
+    for c in reversed(coeffs):
+        if not c:
+            break
+        run += 1
+    if run < 6:
+        raise ValueError("need at least six consecutive nonzero trailing coefficients")
+    start = len(coeffs) - run
+    ratios = {
+        n: float(coeffs[n] / coeffs[n - 1])
+        for n in range(start + 1, len(coeffs))
+    }
+    ns = sorted(ratios)
+    inv_gc = ns[-1] * ratios[ns[-1]] - ns[-2] * ratios[ns[-2]]
+    gc = 1.0 / inv_gc
+    exps = {n: -1.0 - n * (gc * ratios[n] - 1.0) for n in ns}
+    exponent = ns[-1] * exps[ns[-1]] - (ns[-2]) * exps[ns[-2]]
+    return gc, exponent
 
 
 # -- the character sum over S_2n ------------------------------------------------
@@ -693,6 +734,30 @@ def relabel(d: LinkDiagram, g: Perm) -> LinkDiagram:
     return type(d)(d.n, conjugate(g, d.sigma))
 
 
+TRANSFORM_KINDS = ("mirror", "over_under", "flip")
+
+
+def transform(d: LinkDiagram, kind: str) -> LinkDiagram:
+    """Mirror image, over/under exchange, or flip (both at once).
+
+    Mirror exchanges white and black faces and keeps all labels.  The other
+    two turn the under-edge pairing into the block pairing, so the result is
+    relabelled to put that pairing back into normal form.  On a tangle only
+    the mirror keeps the marked block marked; the other kinds return the
+    underlying link diagram.
+    """
+    if kind == "mirror":
+        return type(d)(d.n, d.tau)
+    if kind == "over_under":
+        raw = inverse(d.tau)
+    elif kind == "flip":
+        raw = inverse(d.sigma)
+    else:
+        raise ValueError(f"unknown transform {kind!r}; pick from {TRANSFORM_KINDS}")
+    g = pair_normalizer(d.rho_tilde)
+    return LinkDiagram(d.n, conjugate(g, raw))
+
+
 def weighted_link_counts(n_max: int) -> dict[tuple[int, int], Fraction]:
     """Sum of 1/symmetry over connected link diagrams, by (n, genus).
 
@@ -952,6 +1017,15 @@ def mul(group: FiniteGroup, a: int, b: int) -> int:
     return group.table[a][b]
 
 
+def dihedral(k: int) -> FiniteGroup:
+    """Symmetries of the k-gon, as permutations of its vertices."""
+    if k < 3:
+        raise ValueError("the dihedral construction needs k >= 3")
+    rotations = [tuple((i + r) % k for i in range(k)) for r in range(k)]
+    flips = [tuple((r - i) % k for i in range(k)) for r in range(k)]
+    return FiniteGroup.from_permutations(f"D{k}", rotations + flips)
+
+
 def save_group_table(group: FiniteGroup, path) -> None:
     lines = [f"name {group.name}"]
     lines += [" ".join(str(x) for x in row) for row in group.table]
@@ -1093,13 +1167,12 @@ def jones_span(p: MultiLaurentPoly) -> int:
 # -- determinants: Bareiss elimination ----------------------------------------------
 
 
-def determinant_by_every_cofactor(d: LinkDiagram) -> int:
+def determinant_by_every_cofactor(od: OrientedDiagram) -> int:
     """The gcd of all m^2 cofactors of the relation matrix at t=-1, s=1,
     against the library's one column of them."""
-    frames = _reference_orientation(d).frames
-    size = d.size
-    m = [[0] * size for _ in range(2 * d.n)]
-    for v, (b_in, b_out, a_in, a_out, _) in enumerate(frames):
+    size = od.diagram.size
+    m = [[0] * size for _ in range(size)]
+    for v, (b_in, b_out, a_in, a_out, _) in enumerate(od.frames):
         m[2 * v][a_out] += 1
         m[2 * v][a_in] += 1
         m[2 * v][b_in] -= 2
@@ -1179,6 +1252,33 @@ def divexact(a: MultiLaurentPoly, b: MultiLaurentPoly) -> MultiLaurentPoly:
     )
 
 
+def variable(name: str, variables) -> MultiLaurentPoly:
+    """The polynomial that is the variable ``name`` of ``variables``."""
+    variables = tuple(variables)
+    exps = [0] * len(variables)
+    exps[variables.index(name)] = 1
+    return MultiLaurentPoly(variables, {tuple(exps): 1})
+
+
+def power(p: MultiLaurentPoly, k: int) -> MultiLaurentPoly:
+    """``p`` to the integer power ``k``; a negative ``k`` needs a unit,
+    one term with coefficient +-1."""
+    if k < 0:
+        if len(p.terms) != 1:
+            raise ValueError("negative power of a non-monomial")
+        ((exps, coeff),) = p.terms.items()
+        if coeff not in (1, -1):
+            raise ValueError("negative power of a non-unit coefficient")
+        p, k = MultiLaurentPoly(p.variables, {tuple(-e for e in exps): coeff}), -k
+    out = MultiLaurentPoly.one(p.variables)
+    while k:
+        if k & 1:
+            out = out * p
+        p = p * p
+        k >>= 1
+    return out
+
+
 def evaluate(p: MultiLaurentPoly, assignment: Mapping[str, object]):
     """Substitute values for some or all variables of ``p``.
 
@@ -1207,7 +1307,7 @@ def evaluate(p: MultiLaurentPoly, assignment: Mapping[str, object]):
                 v = assignment[name]
                 if not isinstance(v, MultiLaurentPoly):
                     v = MultiLaurentPoly.constant(v, target)
-                term = term * v**e
+                term = term * power(v, e)
             out = out + term
         return out
     if remaining:

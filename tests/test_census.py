@@ -385,6 +385,21 @@ def test_entries_are_selfconsistent():
         assert e.diagram.size % e.symmetry == 0
 
 
+def test_connected_tangles_have_symmetry_order_one():
+    """``symmetry_order`` returns 1 for a tangle without a scan; the marked
+    scan agrees on every census tangle with at most four real crossings,
+    self-energies included."""
+    from vtangle.diagrams import symmetry_order
+
+    seen = 0
+    for n in range(1, 5):
+        for e in enumerate_diagrams(n, "tangle", no_self_energy=False):
+            t = e.diagram
+            assert symmetry_order(t) == canonical_code_stats(t.sigma, marked=True)[1] == 1, e.code
+            seen += 1
+    assert seen == 8952
+
+
 def test_bad_arguments():
     with pytest.raises(ValueError):
         list(enumerate_diagrams(2, "knot"))

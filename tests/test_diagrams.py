@@ -24,7 +24,6 @@ from vtangle.diagrams import (
     strand_components,
     symmetry_order,
     tangle_type,
-    transform,
 )
 from vtangle.census import canonical_form, enumerate_diagrams
 from vtangle.perms import (
@@ -43,6 +42,7 @@ from oracles import (
     relabel,
     relabelling_elements,
     self_energy_pairwise,
+    transform,
     vertex_sign,
 )
 

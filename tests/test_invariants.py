@@ -11,11 +11,10 @@ import random
 import pytest
 
 from vtangle.census import enumerate_diagrams
-from vtangle.diagrams import TangleDiagram, transform
+from vtangle.diagrams import TangleDiagram, orientations
 from vtangle.flypes import flype_classes
 from vtangle.groups import FiniteGroup, builtin_groups
 from vtangle.invariants import (
-    _reference_orientation,
     _RotationDiagram,
     _state_sum,
     bracket,
@@ -33,8 +32,10 @@ from oracles import (
     determinant_by_every_cofactor,
     jones_span,
     morphism_count_bruteforce,
+    dihedral,
     relabel,
     relabelling_elements,
+    transform,
 )
 
 
@@ -76,7 +77,8 @@ def test_determinant_reads_one_column_of_cofactors(n, total):
     entries = list(enumerate_diagrams(n, "link", no_self_energy=False))
     assert len(entries) == total
     for e in entries:
-        assert determinant_invariant(e.diagram) == determinant_by_every_cofactor(e.diagram), e.code
+        od = orientations(e.diagram)[0]
+        assert determinant_invariant(od) == determinant_by_every_cofactor(od), e.code
 
 
 def test_state_sum_matches_the_loop_walk_on_cables():
@@ -85,7 +87,7 @@ def test_state_sum_matches_the_loop_walk_on_cables():
     seen = 0
     for n in range(1, 4):
         for e in enumerate_diagrams(n, "link", no_self_energy=False):
-            rd = cable_rotation(e.diagram)
+            rd = cable_rotation(orientations(e.diagram)[0])
             assert _state_sum(rd) == _loop_state_sum(rd), e.code
             seen += 1
     assert seen == 27
@@ -130,7 +132,7 @@ CABLED_JONES_PINS = {
 
 def test_cabled_jones_is_pinned_on_small_links():
     got = {
-        e.code: hashlib.sha256(str(cabled_jones(e.diagram)).encode()).hexdigest()
+        e.code: hashlib.sha256(str(cabled_jones(orientations(e.diagram)[0])).encode()).hexdigest()
         for n in range(1, 5)
         for e in enumerate_diagrams(n, "link")
     }
@@ -170,6 +172,33 @@ def test_whole_records_are_pinned(name, mode, n_max, with_groups, cabled, total)
     assert digest.hexdigest() == WHOLE_RECORD_PINS[name]
 
 
+def test_link_record_walks_the_strands_once_per_orientation(monkeypatch):
+    """One walk to count the strands, one per orientation, and one per
+    group for the reversed orientation its morphism count is checked
+    against: the 30 self-energy-free links with at most four crossings,
+    with all five built-in groups and the 2-cable."""
+    import vtangle.diagrams
+
+    walks = 0
+    walk = vtangle.diagrams.strand_components
+
+    def counted(d):
+        nonlocal walks
+        walks += 1
+        return walk(d)
+
+    monkeypatch.setattr(vtangle.diagrams, "strand_components", counted)
+    groups = tuple(builtin_groups().values())
+    seen = 0
+    for n in range(1, 5):
+        for e in enumerate_diagrams(n, "link"):
+            walks = 0
+            link_record(e.diagram, groups, include_cabled=True)
+            assert walks <= 1 + 2**e.components + len(groups), e.code
+            seen += 1
+    assert seen == 30
+
+
 def _relabelled(group: FiniteGroup, rng: random.Random) -> FiniteGroup:
     """The same group with its elements renamed by a random bijection."""
     name = list(range(group.order))
@@ -201,7 +230,7 @@ def test_morphism_counts_match_the_bruteforce_oracle():
             ],
         ),
         (FiniteGroup.symmetric(4), list(itertools.permutations(range(4)))),
-        (FiniteGroup.dihedral(4), square),
+        (dihedral(4), square),
         (FiniteGroup.cyclic(3), [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
     )
     diagrams = [
@@ -215,7 +244,7 @@ def test_morphism_counts_match_the_bruteforce_oracle():
         assert len(set(perms)) == group.order, group.name
         shuffled = _relabelled(group, rng)
         for d in diagrams:
-            od = _reference_orientation(d)
+            od = orientations(d)[0]
             want = morphism_count_bruteforce(od, perms)
             assert group_morphism_count(od, group) == want, (group.name, d)
             assert group_morphism_count(od, shuffled) == want, (group.name, d)
@@ -230,7 +259,7 @@ MORPHISM_COUNTS_PIN = "1f9983d38b4437ae76e845036b0a05ff317a02f42d7a3d54eaebaca07
 
 def test_morphism_counts_are_pinned_on_small_links():
     triples = sorted(
-        (e.code, g.name, group_morphism_count(_reference_orientation(e.diagram), g))
+        (e.code, g.name, group_morphism_count(orientations(e.diagram)[0], g))
         for n in range(1, 5)
         for e in enumerate_diagrams(n, "link")
         for g in builtin_groups().values()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from vtangle.laurent import MultiLaurentPoly, det, normalize_unit
 
-from oracles import _det_bareiss, divexact, evaluate
+from oracles import _det_bareiss, divexact, evaluate, power, variable
 
 AB = ("a",)
 TS = ("t", "s")
@@ -36,8 +36,8 @@ def sparse_polys(draw, variables=TS, max_terms=5, span=3):
 
 
 def test_difference_of_inverse_powers():
-    a = MultiLaurentPoly.variable("a", AB)
-    assert (a + a**-1) * (a - a**-1) == a**2 - a**-2
+    a = variable("a", AB)
+    assert (a + power(a, -1)) * (a - power(a, -1)) == power(a, 2) - power(a, -2)
 
 
 def test_evaluate_at_one():
@@ -55,7 +55,7 @@ def test_partial_evaluation_keeps_a_polynomial():
 
 def test_polynomial_substitution():
     target = ("t", "s")
-    t = MultiLaurentPoly.variable("t", target)
+    t = variable("t", target)
     p = poly({(1, 0): 1, (0, 1): 1}, variables=("t0", "t1"))
     assert evaluate(p, {"t0": t, "t1": t}) == 2 * t
 
@@ -69,10 +69,10 @@ def test_variable_mismatch_is_an_error():
 
 def test_negative_power_needs_a_unit():
     with pytest.raises(ValueError):
-        (a_power(1) + 1) ** -1
+        power(a_power(1) + 1, -1)
     with pytest.raises(ValueError):
-        a_power(1, coeff=2) ** -1
-    assert a_power(1, coeff=-1) ** -3 == a_power(-3, coeff=-1)
+        power(a_power(1, coeff=2), -1)
+    assert power(a_power(1, coeff=-1), -3) == a_power(-3, coeff=-1)
 
 
 @settings(max_examples=200)
@@ -97,8 +97,8 @@ def test_det_identity():
 
 
 def test_det_triangular():
-    t = MultiLaurentPoly.variable("t", TS)
-    s = MultiLaurentPoly.variable("s", TS)
+    t = variable("t", TS)
+    s = variable("s", TS)
     m = [[t, MultiLaurentPoly.one(TS)], [MultiLaurentPoly.zero(TS), s]]
     assert det(m) == t * s
 
@@ -157,7 +157,7 @@ def test_divexact_recovers_the_factor(p, q):
 
 
 def test_divexact_refuses_inexact_quotients():
-    t = MultiLaurentPoly.variable("t", TS)
+    t = variable("t", TS)
     with pytest.raises(ValueError):
         divexact(t + 1, 2 * t)
 

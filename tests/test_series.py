@@ -25,6 +25,7 @@ from oracles import (
     from_rows,
     g0_sweep,
     gamma_rows_rational,
+    growth_diagnostic,
     lift,
     log,
 )
@@ -39,7 +40,6 @@ from vtangle.series import (
     g0_series,
     gamma_genus,
     gamma_tilde,
-    growth_diagnostic,
 )
 
 F = Fraction
