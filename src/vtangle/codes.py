@@ -171,6 +171,8 @@ def rooted_code(sigma: Perm, root: int, marked: bool = False) -> Perm:
     the trace of its own root-0 scan.
     """
     n2 = len(sigma)
+    if root not in range(n2):
+        raise ValueError(f"root {root} is not a label of sigma of size {n2}")
     if marked and root >= n2 - 2:
         raise ValueError(f"root {root} lies in the marked block")
     code = [-1] * n2

@@ -248,16 +248,20 @@ def group_morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
     The count does not depend on the orientation (the relation set is
     equivalent under reversal), which is checked on the first component.
 
-    The search branches on one arc at a time, and on one value per orbit
-    of a subgroup H acting by conjugation, weighting what that value
-    extends to by the orbit's size.  H is the centraliser of the values
-    branched on so far (at the top, the whole group, whose orbits are the
-    conjugacy classes).  The weighting is exact: conjugation by h is an
-    automorphism, so it sends solutions to solutions; an h in H fixes
-    every value already assigned, since those are words in the branched
-    ones; so f -> h f h^-1 is a bijection from the solutions with
-    f(arc) = x onto those with f(arc) = h x h^-1.  Below a value x the
-    search goes on with H ∩ C(x).
+    The search branches on the free arcs in index order, and on one value
+    per orbit of a subgroup H acting by conjugation, weighting what that
+    value extends to by the orbit's size.  After each branch a worklist
+    fixes what the relations force: it reads only the relations that
+    touch an arc just fixed, so each relation is checked once its last
+    arc has a value.  H is the centraliser of the values branched on so
+    far (at the top, the whole group, whose orbits are the conjugacy
+    classes).  The search counts solutions, so the order it branches in
+    cannot change the count, and the weighting is exact: conjugation by
+    h is an automorphism, so it sends solutions to solutions; an h in H
+    fixes every value already assigned, since a value the worklist fixed
+    is a word in the branched ones; so f -> h f h^-1 is a bijection from
+    the solutions with f(arc) = x onto those with f(arc) = h x h^-1.
+    Below a value x the search goes on with H ∩ C(x).
     """
     count = _morphism_count(od, group)
     if od.bits:
@@ -268,24 +272,19 @@ def group_morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
 
 
 def _morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
-    d = od.diagram
-    cons = [
-        (v, a_in // 2, a_out // 2, eps)
-        for v, (_, _, a_in, a_out, eps) in enumerate(od.frames)
-    ]
-    n = d.n
-    by_arc = [[] for _ in range(n)]
-    for idx, (b, ai, ao, _) in enumerate(cons):
-        for arc in {b, ai, ao}:
-            by_arc[arc].append(idx)
+    n = od.diagram.n
+    watch = [[] for _ in range(n)]
+    for b, (_, _, a_in, a_out, eps) in enumerate(od.frames):
+        rel = (b, a_in // 2, a_out // 2, eps)
+        for arc in set(rel[:3]):
+            watch[arc].append(rel)
     table, inv = group.table, group.inverse
     assign = [-1] * n
 
     def propagate(trail) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for b, ai, ao, eps in cons:
+        # the trail is the queue: arcs fixed here join it and are read in turn
+        for arc in trail:
+            for b, ai, ao, eps in watch[arc]:
                 fb = assign[b]
                 if fb < 0:
                     continue
@@ -297,44 +296,29 @@ def _morphism_count(od: OrientedDiagram, group: FiniteGroup) -> int:
                     if fo < 0:
                         assign[ao] = val
                         trail.append(ao)
-                        changed = True
                     elif fo != val:
                         return False
                 elif fo >= 0:
                     assign[ai] = table[table[wi][fo]][w]
                     trail.append(ai)
-                    changed = True
         return True
 
-    def next_arc() -> int:
-        best, score = -1, -1
-        for arc in range(n):
-            if assign[arc] >= 0:
-                continue
-            near = sum(
-                1
-                for idx in by_arc[arc]
-                if any(assign[x] >= 0 for x in cons[idx][:3])
-            )
-            if near > score:
-                best, score = arc, near
-        return best
-
-    def search(sub: frozenset) -> int:
-        arc = next_arc()
-        if arc < 0:
+    def search(arc: int, sub: frozenset) -> int:
+        while arc < n and assign[arc] >= 0:
+            arc += 1
+        if arc == n:
             return 1
         total = 0
         for val, size, fixing in group.conjugation_orbits(sub):
             trail = [arc]
             assign[arc] = val
             if propagate(trail):
-                total += size * search(fixing)
+                total += size * search(arc + 1, fixing)
             for x in trail:
                 assign[x] = -1
         return total
 
-    return search(frozenset(range(group.order)))
+    return search(0, frozenset(range(group.order)))
 
 
 # -- rotation-system diagrams, the state sum and 2-cabling --------------------

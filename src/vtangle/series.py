@@ -269,6 +269,8 @@ def F_genus(h: int, order: int) -> QSeries:
 def _substitution(order: int) -> tuple[GenusSeries, GenusSeries]:
     """The four-point rows G4(u) = sum(x^h Q_h(m+1) u^m) and
     psi(u) = (1 + u G4(u))^-2, through u^order and h <= (order+1)//2."""
+    if order < 0:
+        raise ValueError("series order must be nonnegative")
     h_max = (order + 1) // 2
     g4 = GenusSeries(order, h_max, list(zip(*(q[1:] for q in _f_rows(order + 1)))))
     r = (1 + GenusSeries.gee(order, h_max) * g4).reciprocal()

@@ -121,8 +121,10 @@ def test_rooted_code_fixes_its_own_trace():
 
 
 def test_rooted_code_rejects_marked_roots():
-    with pytest.raises(ValueError):
-        rooted_code((2, 3, 0, 1), 2, marked=True)
+    """Roots in the marked block, and roots that are no label at all."""
+    for sigma, root, marked in (((2, 3, 0, 1), 2, True), ((1, 0), -1, False), ((1, 0), 2, False)):
+        with pytest.raises(ValueError):
+            rooted_code(sigma, root, marked=marked)
 
 
 def unpruned_stats(sigma, marked):

@@ -268,6 +268,23 @@ def test_morphism_counts_are_pinned_on_small_links():
     assert hashlib.sha256(repr(triples).encode()).hexdigest() == MORPHISM_COUNTS_PIN
 
 
+# The same digest over the 118 self-energy-free link diagrams with five
+# crossings, taken from the search that re-scored every free arc before
+# each branch and swept every relation until nothing changed.
+MORPHISM_COUNTS_FIVE_PIN = "bc0afbbd89539481930bb9574a654fbbd39c848e3e1c421bc99a7775864b56b4"
+
+
+@pytest.mark.slow
+def test_morphism_counts_are_pinned_on_five_crossing_links():
+    triples = sorted(
+        (e.code, g.name, group_morphism_count(orientations(e.diagram)[0], g))
+        for e in enumerate_diagrams(5, "link")
+        for g in builtin_groups().values()
+    )
+    assert len(triples) == 118 * 5
+    assert hashlib.sha256(repr(triples).encode()).hexdigest() == MORPHISM_COUNTS_FIVE_PIN
+
+
 def _invert_a(p: MultiLaurentPoly) -> MultiLaurentPoly:
     return MultiLaurentPoly(p.variables, {(-e,): c for (e,), c in p.terms.items()})
 

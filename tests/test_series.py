@@ -342,9 +342,12 @@ def test_gamma_rows(h):
 
 def test_gamma_bad_arguments():
     """No order cap: the genus bound (order+1)//2 follows from the order."""
-    for h, order in ((6, 10), (-1, 10), (DEEP // 2 + 1, DEEP)):
+    for h, order in ((6, 10), (-1, 10), (DEEP // 2 + 1, DEEP), (0, -1)):
         with pytest.raises(ValueError):
             gamma_genus(h, order)
+    for route in (lambda: gamma_tilde(0, -1), lambda: alpha_series(-1), lambda: g0_series(-1)):
+        with pytest.raises(ValueError):
+            route()
     top = gamma_genus(DEEP // 2, DEEP)
     assert [n for n in range(DEEP + 1) if top[n]] == [DEEP - 1, DEEP]
 
